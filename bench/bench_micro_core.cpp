@@ -4,8 +4,8 @@
 // metric that bounds how fast TAPS can admit tasks — and end-to-end
 // simulation throughput per scheduler.
 //
-// Complements bench_micro_replan (which A/Bs the optimized replan against
-// the reference path); this binary tracks the broader primitive surface.
+// Complements bench_micro_replan (which times the replan and arrival hot
+// paths); this binary tracks the broader primitive surface.
 // With `--json` the run writes BENCH_micro_core.json for
 // scripts/bench_compare.py.
 #include <algorithm>

@@ -5,25 +5,21 @@
 //   - util::IntervalSet insert/erase and earliest-fit under heavy
 //     fragmentation (the per-link primitive of Algorithm 3);
 //   - OccupancyMap::collides and path_union(_from) over a deep map;
-//   - the full per-arrival replan (EDF+SJF sort + plan_flows) at 1k/10k/50k
-//     admitted flows on the scaled fat-tree, with the fused allocator +
-//     candidate cache (optimized) A/B'd against the pre-optimization
-//     reference path (reference_allocator, no scratch, fresh map per replan);
-//   - the steady-state per-arrival cost through TapsScheduler itself, with
-//     the incremental journaled session A/B'd against the from-scratch full
-//     replan on the same warm instance (arrival/admitted=N/...);
+//   - the full per-arrival replan (EDF+SJF sort + plan_flows with the
+//     fused allocator and candidate cache) at 1k/10k/50k admitted flows on
+//     the scaled fat-tree;
+//   - the steady-state per-arrival cost through TapsScheduler itself, on a
+//     warm instance (arrival/admitted=N/incremental);
 //   - the end-to-end arrival cascade: N tasks admitted back-to-back through
-//     a fresh scheduler, where prefix reuse turns the total cost superlinear
-//     in its favour (cascade/arrivals=N/...);
+//     a fresh scheduler, where prefix reuse keeps the per-arrival cost low
+//     (cascade/arrivals=N/...);
 //   - the hierarchical-admission cascade: a reject-heavy hotspot workload
-//     A/B'd with the pod-local feasibility precheck on vs off
-//     (cascade_hier/arrivals=N/...) — decisions are bit-identical, the
-//     precheck only changes what a rejection costs;
+//     where the pod-local feasibility precheck fast-rejects provably
+//     infeasible arrivals (cascade_hier/arrivals=N/...);
 //   - exp::run_sweep thread scaling on a small scenario.
 //
 // `--quick` shrinks everything to CI-smoke scale. With `--json` the run
-// writes BENCH_micro_replan.json for scripts/bench_compare.py; the
-// `replan/admitted=N/speedup` metrics record optimized-vs-reference ratios.
+// writes BENCH_micro_replan.json for scripts/bench_compare.py.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -196,31 +192,15 @@ void bench_replan(BenchRunner& runner, bool quick, std::uint64_t seed) {
     const std::string prefix = "replan/admitted=" + std::to_string(n) + "/";
     taps::core::OccupancyMap occ(link_count);
     taps::core::PlanScratch scratch;
-    const taps::core::PlanConfig optimized{};
-    const auto& opt =
-        runner.run(prefix + "optimized", [&] { replan(optimized, occ, &scratch); });
-    const double opt_median = opt.median;
-
-    // The pre-optimization path: reference TimeAllocation (full path-union
-    // materialization), no candidate cache, occupancy storage re-grown every
-    // replan. Skipped at 50k where it would dominate the bench's runtime.
-    if (n <= 10000) {
-      taps::core::PlanConfig reference{};
-      reference.reference_allocator = true;
-      const auto& ref = runner.run(prefix + "reference", [&] {
-        taps::core::OccupancyMap fresh(link_count);
-        replan(reference, fresh, nullptr);
-      });
-      runner.add_metric(prefix + "speedup", ref.median / opt_median);
-    }
+    const taps::core::PlanConfig config{};
+    runner.run(prefix + "optimized", [&] { replan(config, occ, &scratch); });
   }
 }
 
 /// Register `tasks` single-flow tasks, all arriving at t=0 with near-sorted
 /// deadlines spread over [50 ms, 4 s]: deadline(i) = base + i*step + jitter
 /// where jitter < `jitter_steps`*step, so each arrival sorts into the last
-/// few EDF positions (small replanned tails under the incremental session,
-/// full re-plans under the oracle).
+/// few EDF positions (small replanned tails under the session).
 void fill_arrival_tasks(taps::net::Network& net, const taps::topo::Topology& topo,
                         std::size_t tasks, std::uint64_t seed, double jitter_steps) {
   const auto& hosts = topo.hosts();
@@ -253,19 +233,17 @@ double time_arrivals(taps::core::TapsScheduler& sched, std::size_t first,
 }
 
 /// Steady-state per-arrival cost through TapsScheduler: ONE warm instance
-/// holding N admitted flows; each sample times fresh spare-task arrivals with
-/// the incremental session toggled on/off via set_incremental_replan, so both
-/// modes pay their price against bit-identical committed state. Incremental
-/// samples batch several arrivals (the per-op time is total/batch) because a
-/// single reused-prefix arrival is too fast to time single-shot; the admitted
-/// count drifts by well under the batch total over the run, which is
-/// deterministic and identical across runs — the gate compares like with like.
+/// holding N admitted flows; each sample times a batch of fresh spare-task
+/// arrivals (the per-op time is total/batch) because a single reused-prefix
+/// arrival is too fast to time single-shot. The admitted count drifts by
+/// well under the batch total over the run, which is deterministic and
+/// identical across runs — the gate compares like with like.
 void bench_arrival(BenchRunner& runner, bool quick, std::uint64_t seed) {
   const taps::topo::FatTree topo(taps::topo::FatTreeConfig::scaled());
   const std::size_t n = quick ? 200 : 10000;
   const std::size_t repeats = runner.options().repeats;
-  const std::size_t batch = quick ? 25 : 4;  // incremental arrivals per sample
-  const std::size_t spares = (1 + repeats) + batch * (1 + repeats);
+  const std::size_t batch = quick ? 25 : 4;  // arrivals per sample
+  const std::size_t spares = batch * (1 + repeats);
 
   taps::net::Network net(topo);
   // jitter_steps = 0: strictly increasing deadlines, so warming the instance
@@ -279,50 +257,34 @@ void bench_arrival(BenchRunner& runner, bool quick, std::uint64_t seed) {
   }
 
   std::size_t next = n;
-  const auto measure = [&](bool incremental, std::size_t per_sample) {
-    sched.set_incremental_replan(incremental);
-    time_arrivals(sched, next, per_sample);  // warmup in this mode, untimed
-    next += per_sample;
-    std::vector<double> samples;
-    samples.reserve(repeats);
-    for (std::size_t r = 0; r < repeats; ++r) {
-      samples.push_back(time_arrivals(sched, next, per_sample) /
-                        static_cast<double>(per_sample));
-      next += per_sample;
-    }
-    return samples;
-  };
-
-  const std::string prefix = "arrival/admitted=" + std::to_string(n) + "/";
-  std::vector<double> full = measure(/*incremental=*/false, 1);
-  std::vector<double> inc = measure(/*incremental=*/true, batch);
-  const double full_median = runner.add_samples(prefix + "full", std::move(full)).median;
-  const double inc_median =
-      runner.add_samples(prefix + "incremental", std::move(inc), batch).median;
-  runner.add_metric(prefix + "speedup", full_median / inc_median);
+  time_arrivals(sched, next, batch);  // warmup, untimed
+  next += batch;
+  std::vector<double> samples;
+  samples.reserve(repeats);
+  for (std::size_t r = 0; r < repeats; ++r) {
+    samples.push_back(time_arrivals(sched, next, batch) / static_cast<double>(batch));
+    next += batch;
+  }
+  runner.add_samples("arrival/admitted=" + std::to_string(n) + "/incremental",
+                     std::move(samples), batch);
 }
 
 /// End-to-end arrival cascade: each op binds a fresh scheduler and feeds N
-/// near-sorted-deadline tasks through it back-to-back. The oracle pays a full
-/// replan per arrival (Θ(N²) planned flows); the session adopts the committed
-/// prefix and replans only the tail, so its advantage grows with N — the
-/// speedup metrics at matched scales record that superlinear separation. The
-/// full-replan runs are capped at 1000 arrivals (beyond that one op takes
-/// minutes); incremental extends to 50k where the oracle is untimeable.
+/// near-sorted-deadline tasks through it back-to-back. A full replan per
+/// arrival would plan Θ(N²) flows; the session adopts the committed prefix
+/// and replans only the tail — the reuse_ratio metric records how much
+/// planning that avoids.
 void bench_cascade(BenchRunner& runner, bool quick, std::uint64_t seed) {
   const taps::topo::FatTree topo(taps::topo::FatTreeConfig::scaled());
   const std::vector<std::size_t> scales =
       quick ? std::vector<std::size_t>{100}
             : std::vector<std::size_t>{200, 1000, 10000, 50000};
-  constexpr std::size_t kFullCap = 1000;       // largest oracle-timed scale
-  constexpr std::size_t kSlowSamples = 3;      // samples for multi-second ops
+  constexpr std::size_t kSlowSamples = 3;  // samples for multi-second ops
 
-  const auto cascade = [&](std::size_t n, bool incremental) {
+  const auto cascade = [&](std::size_t n) {
     taps::net::Network net(topo);
     fill_arrival_tasks(net, topo, n, seed + n, /*jitter_steps=*/3.0);
-    taps::core::TapsConfig config;
-    config.incremental_replan = incremental;
-    taps::core::TapsScheduler sched(config);
+    taps::core::TapsScheduler sched;
     sched.bind(net);
     const double secs = time_arrivals(sched, 0, n);
     return std::make_pair(secs, sched.counters());
@@ -337,30 +299,17 @@ void bench_cascade(BenchRunner& runner, bool quick, std::uint64_t seed) {
     inc.reserve(reps);
     taps::core::TapsCounters counters;
     for (std::size_t r = 0; r < reps; ++r) {
-      auto [secs, c] = cascade(n, /*incremental=*/true);
+      auto [secs, c] = cascade(n);
       inc.push_back(secs);
       counters = c;
     }
-    const double inc_median =
-        runner.add_samples(prefix + "incremental", std::move(inc)).median;
+    runner.add_samples(prefix + "incremental", std::move(inc));
     // Fraction of per-arrival planning avoided by prefix adoption (cross-
     // arrival reuse + checkpoint resume vs flows actually re-planned).
     const double reused = static_cast<double>(counters.cross_arrival_reuse_flows +
                                               counters.checkpoint_reuse_flows);
     const double planned = static_cast<double>(counters.flows_planned);
     runner.add_metric(prefix + "reuse_ratio", reused / std::max(1.0, reused + planned));
-
-    if (quick || n <= kFullCap) {
-      const std::size_t full_reps = (!quick && n >= kFullCap) ? kSlowSamples : reps;
-      std::vector<double> full;
-      full.reserve(full_reps);
-      for (std::size_t r = 0; r < full_reps; ++r) {
-        full.push_back(cascade(n, /*incremental=*/false).first);
-      }
-      const double full_median =
-          runner.add_samples(prefix + "full", std::move(full)).median;
-      runner.add_metric(prefix + "speedup", full_median / inc_median);
-    }
   }
 }
 
@@ -370,9 +319,9 @@ void bench_cascade(BenchRunner& runner, bool quick, std::uint64_t seed) {
 /// and the occupancy map grow like a loaded controller's) interleaved with
 /// ~35% doomed probes from 8 hotspot hosts whose transfer exceeds their
 /// deadline window (1.05-1.6x) — provably infeasible before any occupancy
-/// is consulted. Without the precheck every probe still pays a trial
-/// replan at its (random) EDF position over the committed tail; with it
-/// the probe is fast-rejected for the cost of the adoption-only re-commit.
+/// is consulted. The precheck fast-rejects such a probe for the cost of the
+/// adoption-only re-commit instead of a trial replan at its (random) EDF
+/// position over the committed tail.
 void fill_hotspot_tasks(taps::net::Network& net, const taps::topo::Topology& topo,
                         std::size_t tasks, std::uint64_t seed) {
   const auto& hosts = topo.hosts();
@@ -407,26 +356,21 @@ void fill_hotspot_tasks(taps::net::Network& net, const taps::topo::Topology& top
   }
 }
 
-/// Hierarchical-admission cascade A/B: the hotspot cascade with the
-/// pod-local feasibility precheck on vs off on otherwise identical
-/// schedulers. Outcomes are bit-identical either way (pinned by
-/// tests/core/taps_hierarchy_prop_test.cpp); the precheck only changes what
-/// a rejection costs — a provably-infeasible arrival skips the trial replan
-/// and pays just the adoption-only compacting re-commit. The
-/// fast_reject_share metric records how often the fast path fired, so the
-/// speedup can be read against its coverage.
+/// Hierarchical-admission cascade: the hotspot cascade through the default
+/// scheduler, whose pod-local precheck fast-rejects provably infeasible
+/// arrivals (decisions pinned bit-identical to the full-replan oracle by
+/// tests/core/taps_hierarchy_prop_test.cpp). The fast_reject_share metric
+/// records how often the fast path fired.
 void bench_cascade_hier(BenchRunner& runner, bool quick, std::uint64_t seed) {
   const taps::topo::FatTree topo(taps::topo::FatTreeConfig::scaled());
   const std::vector<std::size_t> scales =
       quick ? std::vector<std::size_t>{100} : std::vector<std::size_t>{1000, 10000};
   constexpr std::size_t kSlowSamples = 3;  // samples for multi-second ops
 
-  const auto cascade = [&](std::size_t n, bool precheck) {
+  const auto cascade = [&](std::size_t n) {
     taps::net::Network net(topo);
     fill_hotspot_tasks(net, topo, n, seed + n);
-    taps::core::TapsConfig config;
-    config.hierarchical_precheck = precheck;
-    taps::core::TapsScheduler sched(config);
+    taps::core::TapsScheduler sched;
     sched.bind(net);
     const double secs = time_arrivals(sched, 0, n);
     return std::make_pair(secs, sched.counters());
@@ -441,22 +385,11 @@ void bench_cascade_hier(BenchRunner& runner, bool quick, std::uint64_t seed) {
     on.reserve(reps);
     taps::core::TapsCounters counters;
     for (std::size_t r = 0; r < reps; ++r) {
-      auto [secs, c] = cascade(n, /*precheck=*/true);
+      auto [secs, c] = cascade(n);
       on.push_back(secs);
       counters = c;
     }
-    const double on_median =
-        runner.add_samples(prefix + "precheck_on", std::move(on)).median;
-
-    std::vector<double> off;
-    off.reserve(reps);
-    for (std::size_t r = 0; r < reps; ++r) {
-      off.push_back(cascade(n, /*precheck=*/false).first);
-    }
-    const double off_median =
-        runner.add_samples(prefix + "precheck_off", std::move(off)).median;
-
-    runner.add_metric(prefix + "speedup", off_median / on_median);
+    runner.add_samples(prefix + "precheck_on", std::move(on));
     runner.add_metric(
         prefix + "fast_reject_share",
         static_cast<double>(counters.pod_fast_rejects) /
@@ -491,8 +424,8 @@ void bench_sweep_threads(BenchRunner& runner, bool quick) {
 int main(int argc, char** argv) {
   taps::util::Cli cli("bench_micro_replan",
                       "TAPS hot-path microbenchmarks: IntervalSet, OccupancyMap, "
-                      "per-arrival replan at 1k/10k/50k flows, incremental-session "
-                      "A/B + arrival cascades, hierarchical pod-precheck A/B, "
+                      "per-arrival replan at 1k/10k/50k flows, steady-state arrivals "
+                      "and arrival cascades, hierarchical pod-precheck cascade, "
                       "sweep thread scaling");
   taps::bench::add_common_options(cli);
   cli.add_flag("quick", "tiny CI-smoke scale (fewer flows, smaller sets)");

@@ -94,12 +94,6 @@ RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_
   (void)taps::workload::generate(net, workload_for(p), rng);
 
   taps::core::TapsConfig cfg;
-  // The reference configuration is the pre-indexed engine verbatim: the
-  // O(active) event loop AND the per-event rate rescan it was built around.
-  // Rate maintenance is bit-transparent either way (pinned by the
-  // equivalence property suite), so the fingerprint cross-check still holds
-  // across the toggle.
-  cfg.event_driven_rates = engine == taps::sim::SimEngine::kIndexed;
   // Wide coflow tasks mean few arrivals, and trimming is arrival-counted —
   // at the default interval (64) these presets would never trim and every
   // replan would re-merge the whole run's slice history. Trimming never

@@ -4,15 +4,18 @@
 Compares two BENCH_<name>.json files (a committed baseline and a fresh run,
 both written by the bench binaries' --json flag) benchmark-by-benchmark on
 the median and exits non-zero when any benchmark regressed by more than the
-threshold. Metrics (the non-timed scalars) are reported when they drift but
-never gated — they are simulation outputs, not performance.
+threshold, or when a baseline benchmark is missing from the current run (a
+deleted or renamed bench must leave the committed baseline in the same
+change, never silently drop out of the gate). Metrics (the non-timed
+scalars) are reported when they drift but never gated — they are simulation
+outputs, not performance.
 
 Usage:
     scripts/bench_compare.py BASELINE.json CURRENT.json [--threshold 0.10]
         [--warn-only]
 
-Exit codes: 0 ok (or --warn-only), 1 regression past threshold, 2 usage or
-input error. See docs/BENCHMARKING.md for the workflow.
+Exit codes: 0 ok (or --warn-only), 1 regression past threshold or missing
+baseline benchmark, 2 usage or input error. See docs/BENCHMARKING.md for the workflow.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ def main() -> int:
                         help="max tolerated median slowdown, fractional "
                              "(default 0.10 = +10%%)")
     parser.add_argument("--warn-only", action="store_true",
-                        help="report regressions but always exit 0 "
+                        help="report regressions and missing benchmarks but "
+                             "always exit 0 "
                              "(for noisy CI runners)")
     args = parser.parse_args()  # argparse exits 2 on usage errors itself
     if args.threshold <= 0:
@@ -71,11 +75,13 @@ def main() -> int:
         return 2
 
     regressions: list[str] = []
+    missing: list[str] = []
     improved = 0
     compared = 0
     for name in base:
         if name not in cur:
             print(f"  MISSING  {name}: in baseline but not in current run")
+            missing.append(name)
             continue
         b, c = base[name]["median"], cur[name]["median"]
         compared += 1
@@ -101,11 +107,17 @@ def main() -> int:
             print(f"   metric  {name}: {bm[name]:.6g} -> {cm[name]:.6g} (not gated)")
 
     print(f"\ncompared {compared} benchmarks: {len(regressions)} regressed "
-          f"(> {args.threshold:.0%}), {improved} improved")
-    if regressions:
-        print("\nregressions:", file=sys.stderr)
-        for r in regressions:
-            print(f"  {r}", file=sys.stderr)
+          f"(> {args.threshold:.0%}), {improved} improved, {len(missing)} missing")
+    if regressions or missing:
+        if regressions:
+            print("\nregressions:", file=sys.stderr)
+            for r in regressions:
+                print(f"  {r}", file=sys.stderr)
+        if missing:
+            print("\nmissing from the current run (remove them from the "
+                  "baseline if the bench was retired):", file=sys.stderr)
+            for name in missing:
+                print(f"  {name}", file=sys.stderr)
         if args.warn_only:
             print("(--warn-only: exiting 0 anyway)", file=sys.stderr)
             return 0

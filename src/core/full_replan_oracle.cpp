@@ -1,0 +1,195 @@
+#include "core/full_replan_oracle.hpp"
+
+#include <algorithm>
+#include <iterator>
+#include <span>
+
+namespace taps::core {
+
+using net::Flow;
+using net::FlowId;
+using net::FlowState;
+using net::TaskId;
+using net::TaskState;
+
+TimeAllocation allocate_time_reference(const OccupancyMap& occupancy, const topo::Path& path,
+                                       double now, double duration, double horizon) {
+  TimeAllocation out;
+  if (duration <= 0.0 || horizon <= now) return out;
+  const util::IntervalSet t_ocp = occupancy.path_union(path);
+  out.slices = t_ocp.allocate_earliest(now, duration, horizon);
+  if (!out.slices.empty()) out.completion = out.slices.back_end();
+  return out;
+}
+
+void FullReplanOracle::bind(net::Network& net) {
+  BaseScheduler::bind(net);
+  occ_ = OccupancyMap(net.graph().link_count());
+  slices_.assign(net.flows().size(), util::IntervalSet{});
+  committed_.clear();
+  retired_.clear();
+  counters_ = TapsCounters{};
+  arrivals_since_trim_ = 0;
+}
+
+std::vector<FlowId> FullReplanOracle::unfinished() {
+  std::vector<FlowId> out;
+  for (const FlowId fid : active_flows()) {
+    if (net_->flow(fid).remaining > sim::kByteEpsilon) out.push_back(fid);
+  }
+  return out;
+}
+
+FullReplanOracle::Attempt FullReplanOracle::plan(std::vector<FlowId> order, double now) {
+  sort_edf_sjf(*net_, order);
+  const PlanConfig config{.max_paths = config_.max_paths,
+                          .ecmp_routing = config_.ecmp_routing,
+                          .guard_band = config_.guard_band};
+  Attempt attempt{.plans = {}, .occ = OccupancyMap(net_->graph().link_count()), .feasible = true};
+  const auto fault = std::find(order.begin(), order.end(), fault_skip_occupy_);
+  const auto split = fault == order.end() ? order.end() : fault + 1;
+  attempt.plans =
+      plan_flows(*net_, attempt.occ, std::span<const FlowId>(order.begin(), split), now, config);
+  if (fault != order.end()) {
+    // Seeded fault: erase the faulty flow's grant, then plan the rest
+    // against a map that no longer holds it.
+    const FlowPlan& faulty = attempt.plans.back();
+    if (faulty.feasible) {
+      OccupancyJournal unused;
+      attempt.occ.vacate(faulty.path, faulty.slices, unused);
+    }
+    std::vector<FlowPlan> rest = plan_flows(
+        *net_, attempt.occ, std::span<const FlowId>(split, order.end()), now, config);
+    attempt.plans.insert(attempt.plans.end(), std::make_move_iterator(rest.begin()),
+                         std::make_move_iterator(rest.end()));
+  }
+  ++counters_.replans;
+  counters_.flows_planned += order.size();
+  attempt.feasible = std::all_of(attempt.plans.begin(), attempt.plans.end(),
+                                 [](const FlowPlan& p) { return p.feasible; });
+  return attempt;
+}
+
+void FullReplanOracle::commit(Attempt&& attempt) {
+  for (const FlowId fid : retired_) slices_[static_cast<std::size_t>(fid)].clear();
+  retired_.clear();
+  committed_.clear();
+  for (FlowPlan& plan : attempt.plans) {
+    Flow& f = net_->flow(plan.flow);
+    util::IntervalSet& sl = slices_[static_cast<std::size_t>(plan.flow)];
+    if (f.path.links != plan.path.links || sl != plan.slices) ++counters_.slice_grants;
+    f.path = std::move(plan.path);
+    sl = std::move(plan.slices);
+    committed_.push_back(plan.flow);
+  }
+  occ_ = std::move(attempt.occ);
+  ++counters_.plan_commits;
+}
+
+void FullReplanOracle::admit(TaskId id, const std::vector<FlowId>& wave) {
+  net::Task& t = net_->task(id);
+  if (t.state == TaskState::kPending) t.state = TaskState::kAdmitted;
+  ++counters_.tasks_accepted;
+  for (const FlowId fid : wave) {
+    net_->flow(fid).state = FlowState::kActive;
+    active_.push_back(fid);
+  }
+}
+
+void FullReplanOracle::on_task_arrival(TaskId id, double now) {
+  if (slices_.size() < net_->flows().size()) slices_.resize(net_->flows().size());
+  const net::Task& t = net_->task(id);
+  const std::vector<FlowId> wave = pending_wave(id, now);
+  if (t.state == TaskState::kRejected || t.state == TaskState::kFailed) {
+    for (const FlowId fid : wave) net_->flow(fid).state = FlowState::kRejected;
+    return;
+  }
+  if (wave.empty()) return;
+
+  if (config_.trim_interval != 0 && ++arrivals_since_trim_ >= config_.trim_interval) {
+    arrivals_since_trim_ = 0;
+    occ_.trim_before(now);
+    for (auto& sl : slices_) sl.trim_before(now);
+    ++counters_.occupancy_trims;
+  }
+  // Spent flows of the last plan whose slices all lie in the past leave the
+  // slice table when this arrival commits.
+  retired_.clear();
+  for (const FlowId fid : committed_) {
+    const Flow& f = net_->flow(fid);
+    if (f.active() && f.remaining > sim::kByteEpsilon) continue;
+    const util::IntervalSet& sl = slices_[static_cast<std::size_t>(fid)];
+    if (!sl.empty() && sl.back_end() <= now) retired_.push_back(fid);
+  }
+
+  std::vector<FlowId> trial_order = unfinished();
+  trial_order.insert(trial_order.end(), wave.begin(), wave.end());
+  Attempt trial = plan(trial_order, now);
+  const RejectOutcome outcome =
+      apply_reject_rule(*net_, id, trial.plans, config_.preempt_policy);
+  if (outcome.decision == Decision::kAccept) {
+    admit(id, wave);
+    commit(std::move(trial));
+    return;
+  }
+  if (outcome.decision == Decision::kPreemptVictim) {
+    std::vector<FlowId> order;
+    for (const FlowId fid : trial_order) {
+      if (net_->flow(fid).task() != outcome.victim) order.push_back(fid);
+    }
+    Attempt attempt = plan(std::move(order), now);
+    if (attempt.feasible) {
+      net_->reject_task(outcome.victim);
+      ++counters_.tasks_preempted;
+      admit(id, wave);
+      commit(std::move(attempt));
+      return;
+    }
+  }
+  net_->reject_task(id);
+  ++counters_.tasks_rejected;
+  Attempt compacted = plan(unfinished(), now);
+  if (compacted.feasible) {
+    commit(std::move(compacted));
+  } else {
+    ++counters_.replan_reverts;
+  }
+}
+
+void FullReplanOracle::on_flow_finished(FlowId id, double now) {
+  BaseScheduler::on_flow_finished(id, now);
+  const Flow& f = net_->flow(id);
+  if (f.state != FlowState::kMissed) return;
+  for (const FlowId sibling : net_->task(f.task()).spec.flows) {
+    Flow& s = net_->flow(sibling);
+    if (s.finished()) continue;
+    s.state = FlowState::kRejected;
+    s.set_rate(0.0);
+    util::IntervalSet& sl = slices_[static_cast<std::size_t>(sibling)];
+    if (std::find(committed_.begin(), committed_.end(), sibling) != committed_.end()) {
+      OccupancyJournal unused;
+      occ_.vacate(s.path, sl, unused);
+    }
+    sl.clear();
+  }
+}
+
+double FullReplanOracle::assign_rates(double now) {
+  double next_boundary = sim::kInfinity;
+  for (const FlowId fid : active_flows()) {
+    Flow& f = net_->flow(fid);
+    const util::IntervalSet& sl = slices_[static_cast<std::size_t>(fid)];
+    double rate = 0.0;
+    if (sl.contains(now)) {
+      rate = sim::kInfinity;
+      for (const topo::LinkId lid : f.path.links) {
+        rate = std::min(rate, net_->link_capacity(lid));
+      }
+    }
+    f.set_rate(rate);
+    next_boundary = std::min(next_boundary, sl.next_boundary(now));
+  }
+  return next_boundary;
+}
+
+}  // namespace taps::core

@@ -66,17 +66,6 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
     }
     const double duration = f.remaining / capacity;
     const double horizon = f.spec.deadline - config.guard_band;
-    if (config.reference_allocator) {
-      TimeAllocation alloc = allocate_time_reference(occupancy, p, now, duration, horizon);
-      if (alloc.feasible() && alloc.completion < best_completion) {
-        best_completion = alloc.completion;
-        plan.path = p;
-        plan.slices = std::move(alloc.slices);
-        plan.completion = alloc.completion;
-        plan.feasible = true;
-      }
-      continue;
-    }
     // Candidate pruning, cheapest test first: the completion on any path is
     // at least the max of its links' single-link completions (union idle is
     // a subset of each link's idle), so a candidate whose lower bound cannot
@@ -84,7 +73,8 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
     // kLbSlack absorbs the bound's prefix-summation rounding: skips trigger
     // only past the slack, so they never cut a candidate the full evaluation
     // could still pick, and the chosen plan stays bit-identical to
-    // evaluating every candidate (the reference_allocator branch above).
+    // evaluating every candidate with the reference allocator (pinned by
+    // tests/core/occupancy_equiv_prop_test.cpp).
     constexpr double kLbSlack = 1e-6;
     double lower_bound = now;
     bool hopeless = false;
@@ -123,9 +113,7 @@ std::vector<FlowPlan> plan_flows(const net::Network& net, OccupancyMap& occupanc
   plans.reserve(order.size());
   for (const FlowId fid : order) {
     FlowPlan plan = plan_one_flow(net, occupancy, fid, now, config, scratch);
-    if (plan.feasible && fid != config.fault_skip_occupy) {
-      occupancy.occupy(plan.path, plan.slices);
-    }
+    if (plan.feasible) occupancy.occupy(plan.path, plan.slices);
     plans.push_back(std::move(plan));
   }
   return plans;

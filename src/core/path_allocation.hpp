@@ -28,15 +28,6 @@ struct PlanConfig {
   /// one store-and-forward pipeline after its slice ends, so exact-fit
   /// plans miss by microseconds unless the controller budgets for it.
   double guard_band = 0.0;
-  /// Use core::allocate_time_reference instead of the fused allocator.
-  /// Output is identical either way; bench_micro_replan flips this to
-  /// measure the optimization, and the equivalence property test cross-
-  /// checks both on random instances.
-  bool reference_allocator = false;
-  /// Fault injection for the invariant oracle's negative tests: planning
-  /// skips OccupancyMap::occupy for this flow, so later flows can be granted
-  /// overlapping slices. Never set outside tests.
-  net::FlowId fault_skip_occupy = net::kInvalidFlow;
 };
 
 /// Caller-owned reusable planning state. Candidate paths depend only on a

@@ -20,7 +20,6 @@ void TapsScheduler::bind(net::Network& net) {
   slices_.assign(net.flows().size(), util::IntervalSet{});
   committed_order_.clear();
   plan_scratch_.clear();
-  occ_pool_.clear();
   counters_ = TapsCounters{};
   journal_.clear();
   session_order_.clear();
@@ -37,8 +36,6 @@ void TapsScheduler::bind(net::Network& net) {
   rate_touched_mark_.assign(net.flows().size(), 0);
   rate_touched_.clear();
   rate_fallback_ = false;
-  // The index is maintained even with the precheck disabled (upkeep is
-  // O(newly committed flows)), so the flag can be flipped mid-run.
   pod_index_.bind(net.topology().pods(), net.flows().size());
 }
 
@@ -118,16 +115,6 @@ std::vector<FlowId> TapsScheduler::unfinished_admitted() const {
   return out;
 }
 
-OccupancyMap TapsScheduler::acquire_occupancy() {
-  if (!occ_pool_.empty()) {
-    OccupancyMap occ = std::move(occ_pool_.back());
-    occ_pool_.pop_back();
-    occ.reset(net_->graph().link_count());
-    return occ;
-  }
-  return OccupancyMap(net_->graph().link_count());
-}
-
 void TapsScheduler::sort_order(std::vector<FlowId>& order, std::size_t sorted_prefix) {
   const net::Network& net = *net_;
   const auto cmp = [&net](FlowId a, FlowId b) {
@@ -148,73 +135,6 @@ void TapsScheduler::sort_order(std::vector<FlowId>& order, std::size_t sorted_pr
     std::sort(order.begin(), order.end(), cmp);
     ++counters_.full_sorts;
   }
-}
-
-PlanConfig TapsScheduler::make_plan_config() const {
-  return PlanConfig{.max_paths = config_.max_paths,
-                    .ecmp_routing = config_.ecmp_routing,
-                    .guard_band = config_.guard_band,
-                    .reference_allocator = config_.reference_allocator,
-                    .fault_skip_occupy = config_.fault_skip_occupy};
-}
-
-TapsScheduler::PlanAttempt TapsScheduler::try_plan(std::vector<FlowId> order, double now,
-                                                   std::size_t sorted_prefix) {
-  sort_order(order, sorted_prefix);
-  PlanAttempt attempt{.plans = {}, .occ = acquire_occupancy(), .fully_feasible = true};
-  attempt.plans = plan_flows(*net_, attempt.occ, order, now, make_plan_config(), &plan_scratch_);
-  counters_.flows_planned += order.size();
-  for (const auto& p : attempt.plans) {
-    if (!p.feasible) {
-      attempt.fully_feasible = false;
-      break;
-    }
-  }
-  return attempt;
-}
-
-void TapsScheduler::commit(PlanAttempt&& attempt, double now) {
-  assert(attempt.fully_feasible);
-  std::swap(occ_, attempt.occ);
-  release_occupancy(std::move(attempt.occ));  // the retired committed map
-  // Spent flows leave the plan here: drop their stale slices (the list was
-  // snapshotted at arrival start, exactly when commit_session evaluates it,
-  // so both modes clear the same sets on the same arrivals).
-  for (const FlowId fid : session_retired_) {
-    slices_[static_cast<std::size_t>(fid)].clear();
-    touch_slices(fid);
-  }
-  session_retired_.clear();
-  committed_order_.clear();
-  committed_order_.reserve(attempt.plans.size());
-  sched::ScheduleObserver* obs = schedule_observer();
-  std::vector<sched::CommittedFlowView> view;
-  if (obs != nullptr) view.reserve(attempt.plans.size());
-  pod_index_.begin_commit();
-  for (auto& plan : attempt.plans) {
-    Flow& f = net_->flow(plan.flow);
-    const auto i = static_cast<std::size_t>(plan.flow);
-    // A full replan recomputes every entry; entries it reproduced verbatim
-    // are not re-grants. The incremental path flags the identical set (its
-    // adopted prefix is exactly the entries a full replan reproduces).
-    const bool regranted = f.path.links != plan.path.links || slices_[i] != plan.slices;
-    if (regranted) {
-      ++counters_.slice_grants;
-      touch_slices(plan.flow);
-    }
-    f.path = std::move(plan.path);
-    slices_[i] = std::move(plan.slices);
-    committed_order_.push_back(plan.flow);
-    committed_remaining_[i] = f.remaining;
-    pod_index_.observe_commit_entry(*net_, f, slices_[i], counters_.budget_reservations);
-    if (obs != nullptr) {
-      view.push_back({plan.flow, f.task(), regranted, &f.path, &slices_[i]});
-    }
-  }
-  pod_index_.end_commit();
-  ++counters_.plan_commits;
-  cross_arrival_valid_ = true;
-  if (obs != nullptr) obs->on_plan_committed(now, view);
 }
 
 void TapsScheduler::admit(TaskId id, const std::vector<FlowId>& wave, double now) {
@@ -275,8 +195,7 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
 
   // Snapshot the spent committed flows whose stale slices will be dropped if
   // this arrival commits. Taken before any planning/rejection mutates flow
-  // state so that the full-replan and incremental paths retire identical
-  // sets — part of keeping the two modes bitwise in step.
+  // state.
   session_retired_.clear();
   for (const FlowId fid : committed_order_) {
     const Flow& f = net_->flow(fid);
@@ -287,14 +206,19 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
 
   // Hierarchical pod-local precheck: prove the newcomer infeasible without a
   // trial replan when possible. Sound only while the no-transmission gate
-  // holds and the cross-arrival validity tokens are fresh (same conditions
-  // either replan mode sees, so decisions stay mode- and flag-independent).
-  if (config_.hierarchical_precheck && pod_index_.enabled() &&
-      config_.fault_skip_occupy == net::kInvalidFlow && cross_arrival_valid_ &&
-      pod_index_.armed(now)) {
+  // holds and the cross-arrival validity tokens are fresh.
+  if (pod_index_.enabled() && cross_arrival_valid_ && pod_index_.armed(now)) {
     if (pod_index_.provably_infeasible(*net_, wave, now, config_.guard_band,
                                        committed_remaining_)) {
-      fast_reject(id, now);
+      // Fast reject. Under the gate every incumbent entry is adoption-
+      // eligible, so the compacting replan reproduces the committed plan
+      // verbatim (zero re-grants) — but it still commits, keeping
+      // plan_commits, the validity tokens and timeline streams bit-identical
+      // to the full cascade.
+      ++counters_.pod_fast_rejects;
+      std::vector<FlowId> order = unfinished_admitted();
+      sort_order(order, order.size());
+      reject_and_compact(id, order, now, /*session_open=*/false);
       return;
     }
     ++counters_.global_fallbacks;
@@ -305,130 +229,87 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
     }
   }
 
-  if (config_.incremental_replan && config_.fault_skip_occupy == net::kInvalidFlow &&
-      cross_arrival_valid_) {
-    on_task_arrival_incremental(id, now, wave);
-    return;
-  }
-
-  // Trial: all unfinished admitted flows plus the newcomers, globally
-  // re-planned from `now` (Algorithm 1's Ftmp = Ftrans U {arriving flows}).
-  // The incumbents come out of unfinished_admitted() in last-committed
-  // EDF+SJF order, so try_plan usually only has to sort the wave in.
+  // Algorithm 1's decision cascade as one journaled session over the live
+  // committed map. Trial: all unfinished admitted flows plus the newcomers,
+  // re-planned from `now` (Ftmp = Ftrans U {arriving flows}). The
+  // incumbents come out of unfinished_admitted() in last-committed EDF+SJF
+  // order, so usually only the wave has to be sorted in.
+  assert(journal_.empty());
   std::vector<FlowId> trial_order = unfinished_admitted();
   const std::size_t incumbent_count = trial_order.size();
   trial_order.insert(trial_order.end(), wave.begin(), wave.end());
-  PlanAttempt trial = try_plan(std::move(trial_order), now, incumbent_count);
+  sort_order(trial_order, incumbent_count);
+  open_session(trial_order, now);
+  plan_tail(trial_order, now);
   ++counters_.replans;
 
   const RejectOutcome outcome =
-      apply_reject_rule(*net_, id, trial.plans, config_.preempt_policy);
+      apply_reject_rule(*net_, id, session_plans_, config_.preempt_policy);
   switch (outcome.decision) {
     case Decision::kAccept:
       admit(id, wave, now);
-      commit(std::move(trial), now);
+      commit_session(now);
       return;
 
     case Decision::kPreemptVictim: {
       assert(outcome.victim != net::kInvalidTask);
       // Validate the post-preemption plan BEFORE discarding the victim: the
       // greedy multi-path allocator is not monotone, so removing the victim
-      // does not provably keep every survivor feasible.
-      const std::vector<FlowId> candidates = unfinished_admitted();
+      // does not provably keep every survivor feasible. Resume from the
+      // longest prefix of the trial plan that survives the removal.
       std::vector<FlowId> order;
-      order.reserve(candidates.size() + wave.size());
-      for (const FlowId fid : candidates) {
+      order.reserve(trial_order.size());
+      for (const FlowId fid : trial_order) {
         if (net_->flow(fid).task() != outcome.victim) order.push_back(fid);
       }
-      const std::size_t survivor_count = order.size();  // sorted subsequence
-      order.insert(order.end(), wave.begin(), wave.end());
-      PlanAttempt attempt = try_plan(std::move(order), now, survivor_count);
+      resume_session(order, now);
       ++counters_.replans;
-      if (attempt.fully_feasible) {
-        release_occupancy(std::move(trial.occ));
+      if (session_infeasible_ == 0) {
         net_->reject_task(outcome.victim);
         ++counters_.tasks_preempted;
         if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
           obs->on_task_preempted(outcome.victim, id, now);
         }
         admit(id, wave, now);
-        commit(std::move(attempt), now);
+        commit_session(now);
         return;
       }
       // Preemption would strand a survivor: fall through to rejecting the
       // newcomer instead (the safe choice; the incumbent plan still holds).
-      release_occupancy(std::move(attempt.occ));
       break;
     }
 
     case Decision::kRejectNew:
       break;
   }
-  release_occupancy(std::move(trial.occ));
-
-  // Reject the newcomer. Re-plan the incumbents opportunistically (EDF with
-  // updated remaining sizes usually compacts the schedule and helps future
-  // admissions), but only commit if every survivor stays feasible; otherwise
-  // the previously committed plan — which transmission has followed exactly,
-  // so its future part is still valid — remains in force.
-  net_->reject_task(id);
-  ++counters_.tasks_rejected;
-  if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
-    obs->on_task_rejected(id, now);
-  }
-  std::vector<FlowId> incumbents = unfinished_admitted();
-  const std::size_t incumbents_sorted = incumbents.size();
-  PlanAttempt compacted = try_plan(std::move(incumbents), now, incumbents_sorted);
-  ++counters_.replans;
-  if (compacted.fully_feasible) {
-    commit(std::move(compacted), now);
-  } else {
-    release_occupancy(std::move(compacted.occ));
-    ++counters_.replan_reverts;
-    util::log_debug() << "TAPS: compacting re-plan at t=" << now
-                      << " would strand a survivor; keeping the prior plan";
-  }
+  reject_and_compact(id, trial_order, now, /*session_open=*/true);
 }
 
-void TapsScheduler::fast_reject(TaskId id, double now) {
-  ++counters_.pod_fast_rejects;
+void TapsScheduler::reject_and_compact(TaskId id, const std::vector<FlowId>& order, double now,
+                                       bool session_open) {
   net_->reject_task(id);
   ++counters_.tasks_rejected;
   if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
     obs->on_task_rejected(id, now);
   }
-  // Compacting replan of the incumbents, exactly as the normal reject tail
-  // runs it in the active mode. Under the precheck's no-transmission gate
-  // every incumbent entry is adoption-eligible, so the replan reproduces the
-  // committed plan verbatim (zero re-grants) — but it still commits, keeping
-  // plan_commits / validity tokens / timeline streams bit-identical to the
-  // precheck-off pipeline.
-  if (config_.incremental_replan && config_.fault_skip_occupy == net::kInvalidFlow &&
-      cross_arrival_valid_) {
-    std::vector<FlowId> incumbents = unfinished_admitted();
-    const std::size_t incumbents_sorted = incumbents.size();
-    sort_order(incumbents, incumbents_sorted);
+  // Re-plan the incumbents opportunistically: EDF with updated remaining
+  // sizes usually compacts the schedule and helps future admissions.
+  std::vector<FlowId> incumbents;
+  incumbents.reserve(order.size());
+  for (const FlowId fid : order) {
+    if (net_->flow(fid).task() != id) incumbents.push_back(fid);
+  }
+  if (session_open) {
+    resume_session(incumbents, now);
+  } else {
     open_session(incumbents, now);
     plan_tail(incumbents, now);
-    ++counters_.replans;
-    if (session_infeasible_ == 0) {
-      commit_session(now);
-    } else {
-      abandon_session();
-      ++counters_.replan_reverts;
-      util::log_debug() << "TAPS: compacting re-plan at t=" << now
-                        << " would strand a survivor; keeping the prior plan";
-    }
-    return;
   }
-  std::vector<FlowId> incumbents = unfinished_admitted();
-  const std::size_t incumbents_sorted = incumbents.size();
-  PlanAttempt compacted = try_plan(std::move(incumbents), now, incumbents_sorted);
   ++counters_.replans;
-  if (compacted.fully_feasible) {
-    commit(std::move(compacted), now);
+  if (session_infeasible_ == 0) {
+    commit_session(now);
   } else {
-    release_occupancy(std::move(compacted.occ));
+    abandon_session();
     ++counters_.replan_reverts;
     util::log_debug() << "TAPS: compacting re-plan at t=" << now
                       << " would strand a survivor; keeping the prior plan";
@@ -447,7 +328,9 @@ void TapsScheduler::open_session(const std::vector<FlowId>& target, double now) 
   // full replan would provably reproduce verbatim is adopted in place (their
   // occupancy is already in occ_ — zero work); everything else is vacated so
   // the tail replans against exactly the context the full replan would see.
-  bool chain = true;
+  // While the validity tokens are stale nothing is adopted: the session is a
+  // full replan.
+  bool chain = cross_arrival_valid_;
   std::size_t pos = 0;  // next unmatched position of `target`
   for (const FlowId fid : committed_order_) {
     const Flow& f = net_->flow(fid);
@@ -489,16 +372,19 @@ void TapsScheduler::open_session(const std::vector<FlowId>& target, double now) 
 }
 
 void TapsScheduler::plan_tail(const std::vector<FlowId>& target, double now) {
-  const PlanConfig plan_config = make_plan_config();
+  const PlanConfig plan_config{.max_paths = config_.max_paths,
+                               .ecmp_routing = config_.ecmp_routing,
+                               .guard_band = config_.guard_band};
   for (std::size_t k = session_order_.size(); k < target.size(); ++k) {
     const FlowId fid = target[k];
     session_marks_.push_back(OccupancyMap::checkpoint(journal_));
     FlowPlan plan = plan_one_flow(*net_, occ_, fid, now, plan_config, &plan_scratch_);
     ++counters_.flows_planned;
-    if (plan.feasible && fid != plan_config.fault_skip_occupy) {
+    if (plan.feasible) {
       occ_.occupy(plan.path, plan.slices, &journal_);
+    } else {
+      ++session_infeasible_;
     }
-    if (!plan.feasible) ++session_infeasible_;
     session_order_.push_back(fid);
     session_plans_.push_back(std::move(plan));
   }
@@ -556,7 +442,7 @@ void TapsScheduler::commit_session(double now) {
       FlowPlan& plan = session_plans_[k];
       // Adopted entries are, by construction, exactly what a full replan
       // would have reproduced verbatim — so comparing only the replanned
-      // tail flags the same re-grant set as the full-replan commit().
+      // tail flags the same re-grant set as a full replan's commit.
       regranted = f.path.links != plan.path.links || slices_[i] != plan.slices;
       if (regranted) {
         ++counters_.slice_grants;
@@ -584,83 +470,6 @@ void TapsScheduler::abandon_session() {
   journal_.clear();
 }
 
-void TapsScheduler::on_task_arrival_incremental(TaskId id, double now,
-                                                const std::vector<FlowId>& wave) {
-  // Mirrors on_task_arrival's decision cascade exactly, but runs it as one
-  // journaled session over the live committed map instead of three
-  // from-scratch trial maps. Every committed decision and committed byte of
-  // state is bitwise identical to the full-replan path (pinned by
-  // tests/core/taps_incremental_prop_test.cpp).
-  assert(journal_.empty());
-  std::vector<FlowId> trial_order = unfinished_admitted();
-  const std::size_t incumbent_count = trial_order.size();
-  trial_order.insert(trial_order.end(), wave.begin(), wave.end());
-  sort_order(trial_order, incumbent_count);
-  open_session(trial_order, now);
-  plan_tail(trial_order, now);
-  ++counters_.replans;
-
-  const RejectOutcome outcome =
-      apply_reject_rule(*net_, id, session_plans_, config_.preempt_policy);
-  switch (outcome.decision) {
-    case Decision::kAccept:
-      admit(id, wave, now);
-      commit_session(now);
-      return;
-
-    case Decision::kPreemptVictim: {
-      assert(outcome.victim != net::kInvalidTask);
-      // Validation replan without the victim's flows: resume from the
-      // longest prefix of the trial plan that survives the removal.
-      std::vector<FlowId> order;
-      order.reserve(trial_order.size());
-      for (const FlowId fid : trial_order) {
-        if (net_->flow(fid).task() != outcome.victim) order.push_back(fid);
-      }
-      resume_session(order, now);
-      ++counters_.replans;
-      if (session_infeasible_ == 0) {
-        net_->reject_task(outcome.victim);
-        ++counters_.tasks_preempted;
-        if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
-          obs->on_task_preempted(outcome.victim, id, now);
-        }
-        admit(id, wave, now);
-        commit_session(now);
-        return;
-      }
-      break;
-    }
-
-    case Decision::kRejectNew:
-      break;
-  }
-
-  // Reject the newcomer; compact the incumbents (see the full-replan path
-  // for the rationale), resuming from whatever trial/validation prefix
-  // survives dropping the newcomer's flows.
-  net_->reject_task(id);
-  ++counters_.tasks_rejected;
-  if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
-    obs->on_task_rejected(id, now);
-  }
-  std::vector<FlowId> incumbents;
-  incumbents.reserve(trial_order.size());
-  for (const FlowId fid : trial_order) {
-    if (net_->flow(fid).task() != id) incumbents.push_back(fid);
-  }
-  resume_session(incumbents, now);
-  ++counters_.replans;
-  if (session_infeasible_ == 0) {
-    commit_session(now);
-  } else {
-    abandon_session();
-    ++counters_.replan_reverts;
-    util::log_debug() << "TAPS: compacting re-plan at t=" << now
-                      << " would strand a survivor; keeping the prior plan";
-  }
-}
-
 void TapsScheduler::on_flow_finished(FlowId id, double now) {
   BaseScheduler::on_flow_finished(id, now);
   const Flow& f = net_->flow(id);
@@ -675,6 +484,19 @@ void TapsScheduler::on_flow_finished(FlowId id, double now) {
     util::log_warn() << "TAPS: admitted flow " << id << " missed its deadline at t=" << now
                      << " (a bug under the fluid engine; expected occasionally under"
                         " packet-quantized execution)";
+    // Vacate each unfinished sibling's committed occupancy before its slices
+    // are cleared, so occ_ stays exactly the union of committed slices
+    // (siblings outside the committed order were already vacated by the
+    // session that dropped them). No session is open, so the journal only
+    // carries these records and is dropped straight after.
+    assert(journal_.empty());
+    for (const FlowId fid : committed_order_) {
+      const Flow& s = net_->flow(fid);
+      if (s.task() == f.task() && !s.finished()) {
+        occ_.vacate(s.path, slices_[static_cast<std::size_t>(fid)], journal_);
+      }
+    }
+    journal_.clear();
     const net::Task& t = net_->task(f.task());
     for (const FlowId sibling : t.spec.flows) {
       Flow& s = net_->flow(sibling);
@@ -684,10 +506,9 @@ void TapsScheduler::on_flow_finished(FlowId id, double now) {
         slices_[static_cast<std::size_t>(sibling)].clear();
       }
     }
-    // The siblings' committed occupancy is now orphaned from their cleared
-    // slices, so it can no longer be vacated incrementally: route the next
-    // arrival through the full replan (whose commit swaps in a fresh map and
-    // re-establishes validity).
+    // The committed plan was built around the siblings' occupancy, so no
+    // prefix of it is provably what a full replan would reproduce: the next
+    // session adopts nothing.
     cross_arrival_valid_ = false;
   }
 }
@@ -727,7 +548,7 @@ bool TapsScheduler::refresh_rate(FlowId fid, double now) {
 }
 
 double TapsScheduler::assign_rates(double now) {
-  if (!config_.event_driven_rates || rate_fallback_) return assign_rates_reference(now);
+  if (rate_fallback_) return assign_rates_reference(now);
 
   // 1. Flows whose committed slices changed since the last call.
   for (const FlowId fid : rate_touched_) {

@@ -35,47 +35,11 @@ struct TapsConfig {
   /// PlanConfig::guard_band). Keep 0 for the paper's fluid evaluation; set
   /// to ~a few packet times x path length on packet networks.
   double guard_band = 0.0;
-  /// A/B switch for bench_micro_replan: plan with the reference TimeAllocation
-  /// instead of the fused one (see PlanConfig::reference_allocator).
-  bool reference_allocator = false;
-  /// Test-only seeded mutation (see PlanConfig::fault_skip_occupy): the
-  /// invariant oracle's negative test proves it catches the resulting
-  /// exclusivity breach. Never set outside tests.
-  net::FlowId fault_skip_occupy = net::kInvalidFlow;
-  /// Incremental replanning: keep the committed occupancy live under an undo
-  /// journal, reuse the committed plan's still-valid leading prefix across
-  /// arrivals, and resume the preemption-validation / compacting replans
-  /// from checkpoints of the trial plan instead of replanning from flow 0.
-  /// Schedules are bit-identical either way (pinned by
-  /// tests/core/taps_incremental_prop_test.cpp); `false` keeps the original
-  /// full-replan path as the oracle.
-  bool incremental_replan = true;
   /// Trim committed occupancy and per-flow slices below `now` every this
   /// many task arrivals (0 disables). Bounds memory on long runs; planning
   /// only reads occupancy at or after `now`, so trimming never changes a
   /// schedule.
   std::size_t trim_interval = 64;
-  /// Event-driven rate maintenance: assign_rates refreshes only the flows
-  /// whose slice-boundary heap entry expired plus the flows whose committed
-  /// slices changed since the last call, instead of rescanning every active
-  /// flow. A flow's rate is a pure step function of its committed slices, so
-  /// rates and the returned next-boundary are bit-identical to the rescan
-  /// (pinned by tests/sim/sim_engine_equiv_prop_test.cpp). If a flow ever
-  /// needs makeup transmission (impossible under the fluid engine, common in
-  /// hand-built unit tests), the scheduler permanently falls back to the
-  /// rescan path, which implements it. `false` keeps the rescan
-  /// (assign_rates_reference) as the oracle.
-  bool event_driven_rates = true;
-  /// Hierarchical two-level admission: on pod topologies (Topology::pods()),
-  /// run a conservative pod-local feasibility precheck per arrival and
-  /// fast-reject tasks that are provably infeasible within their pod
-  /// budget/deadline window, skipping the trial replan entirely. The check
-  /// only fires when the reject is certain (reject-rule Rule 2 applies), so
-  /// committed decisions/schedules are bit-identical either way (pinned by
-  /// tests/core/taps_hierarchy_prop_test.cpp and the golden timelines);
-  /// `false` keeps the always-global pipeline as the oracle. Inert on
-  /// topologies without pod metadata.
-  bool hierarchical_precheck = true;
 };
 
 // taps-threading: thread-compatible
@@ -93,18 +57,18 @@ struct TapsCounters {
   std::size_t incremental_sorts = 0;
   std::size_t full_sorts = 0;
   /// Flow positions actually planned by running Algorithms 2/3
-  /// (plan_one_flow calls), in either mode. The planner-effort denominator
-  /// for the two reuse counters below.
+  /// (plan_one_flow calls). The planner-effort denominator for the two
+  /// reuse counters below.
   std::size_t flows_planned = 0;
   /// Flow positions satisfied by adopting the committed plan's still-valid
   /// leading prefix at session open instead of replanning them
-  /// (cross-arrival prefix reuse; incremental mode only).
+  /// (cross-arrival prefix reuse).
   std::size_t cross_arrival_reuse_flows = 0;
-  /// Flow positions kept from an earlier try_plan of the same arrival when
+  /// Flow positions kept from an earlier replan of the same arrival when
   /// the preemption-validation or compacting replan resumed from a prefix
-  /// checkpoint (within-arrival reuse; incremental mode only).
+  /// checkpoint (within-arrival reuse).
   std::size_t checkpoint_reuse_flows = 0;
-  /// Incremental sessions abandoned mid-arrival because a later replan of
+  /// Sessions abandoned mid-arrival because a later replan of
   /// the same arrival diverged inside the adopted prefix (e.g. the
   /// preemption victim owned one of the adopted flows), forcing a rollback
   /// to the committed state and a fresh session open.
@@ -112,16 +76,15 @@ struct TapsCounters {
   /// Periodic occupancy/slice trims (TapsConfig::trim_interval).
   std::size_t occupancy_trims = 0;
   /// Plans committed (arrivals that changed the schedule: admissions plus
-  /// successful compacting replans). Mode-independent: both replan paths
-  /// commit at the same decision points.
+  /// successful compacting replans).
   std::size_t plan_commits = 0;
   /// Per-flow (re)grants: committed entries whose path or slices changed
   /// relative to the previous commit. Exactly the grant events a
   /// sim::TimelineRecorder would record (docs/TIMELINE.md), counted whether
   /// or not one is attached — so sweep CSVs stay byte-identical either way.
   std::size_t slice_grants = 0;
-  /// Hierarchical admission (TapsConfig::hierarchical_precheck): tasks
-  /// rejected by the pod-local precheck without touching the global planner.
+  /// Hierarchical admission: tasks rejected by the pod-local precheck
+  /// without touching the global planner.
   std::size_t pod_fast_rejects = 0;
   /// Wave flows that passed the precheck with both endpoints in one pod —
   /// their candidate paths (and hence plan_one_flow's occupancy probes) are
@@ -153,17 +116,6 @@ class TapsScheduler : public sched::BaseScheduler {
   [[nodiscard]] const OccupancyMap& occupancy() const { return occ_; }
   [[nodiscard]] const TapsCounters& counters() const { return counters_; }
 
-  /// Bench/test hook: flip incremental replanning on a live scheduler. The
-  /// committed state is mode-independent (schedules are bit-identical), so
-  /// A/B measurements can warm up one instance and time both modes on it.
-  void set_incremental_replan(bool on) { config_.incremental_replan = on; }
-
-  /// Bench/test hook: flip the hierarchical precheck on a live scheduler.
-  /// The pod index is maintained regardless of the flag (commit-time upkeep
-  /// is O(newly committed flows)), so toggling mid-run behaves exactly like
-  /// having run with that setting from the start.
-  void set_hierarchical_precheck(bool on) { config_.hierarchical_precheck = on; }
-
   /// Pod-admission index (hierarchical precheck state), for tests.
   [[nodiscard]] const PodAdmissionIndex& pod_index() const { return pod_index_; }
 
@@ -186,32 +138,17 @@ class TapsScheduler : public sched::BaseScheduler {
   void migrate(net::Network& fresh, const std::vector<net::FlowId>& flow_map);
 
  private:
-  /// A candidate plan: committed only when every flow in it is feasible, so
-  /// an admitted task can never be stranded by a re-plan (the previously
-  /// committed plan stays valid otherwise — transmission followed it
-  /// exactly, so its future portion still fits every deadline).
-  struct PlanAttempt {
-    std::vector<FlowPlan> plans;
-    OccupancyMap occ;
-    bool fully_feasible = true;
-  };
-
-  /// Plan `order`'s flows from scratch at `now`. The first `sorted_prefix`
-  /// entries are known to be in committed EDF+SJF order (modulo remaining-
-  /// size drift on deadline ties, which is re-checked): when the check
-  /// holds, only the tail is sorted and merged in instead of re-sorting the
-  /// whole admitted set. The comparator is a strict total order, so either
-  /// route yields the identical unique ordering.
-  [[nodiscard]] PlanAttempt try_plan(std::vector<net::FlowId> order, double now,
-                                     std::size_t sorted_prefix);
-  void commit(PlanAttempt&& attempt, double now);
   void admit(net::TaskId id, const std::vector<net::FlowId>& wave, double now);
 
-  /// Hierarchical fast-reject: reject `id` without a trial replan (its
-  /// infeasibility was proven pod-locally), then run the same compacting
-  /// replan of the incumbents the normal reject tail runs, in the active
-  /// mode — committed state stays bit-identical to the full pipeline.
-  void fast_reject(net::TaskId id, double now);
+  /// Algorithm 1's reject tail, shared by the decision cascade and the pod
+  /// precheck's fast reject: reject `id`, then compact the surviving
+  /// incumbents (the flows of `order`, already in EDF+SJF order, not owned
+  /// by `id`) by resuming the open session at them, or by opening one when
+  /// `session_open` is false. Commits if every survivor stays feasible;
+  /// otherwise abandons the session and counts a revert (the prior plan,
+  /// which transmission has followed exactly, still fits every deadline).
+  void reject_and_compact(net::TaskId id, const std::vector<net::FlowId>& order, double now,
+                          bool session_open);
 
   /// Sort `order` EDF+SJF. The first `sorted_prefix` entries are known to be
   /// in committed order (modulo remaining-size drift on deadline ties, which
@@ -220,22 +157,19 @@ class TapsScheduler : public sched::BaseScheduler {
   /// yields the identical unique ordering.
   void sort_order(std::vector<net::FlowId>& order, std::size_t sorted_prefix);
 
-  [[nodiscard]] PlanConfig make_plan_config() const;
-
-  // ---- incremental replanning (config_.incremental_replan) ----
+  // ---- journaled admission sessions ----
   //
-  // Instead of rebuilding a trial OccupancyMap from scratch per try_plan,
-  // one arrival runs as a *session* that mutates the committed map occ_ in
+  // One arrival runs as a *session* that mutates the committed map occ_ in
   // place under journal_: the committed plan's still-valid leading prefix is
   // adopted untouched (zero cost), everything after it is vacated, and the
   // tail is replanned with every mutation logged. Later replans of the same
   // arrival (preemption validation, compacting) roll back to the checkpoint
   // of the longest shared prefix and replan only from there. Reverting the
-  // whole arrival is a rollback to the session start. See DESIGN.md
-  // ("Incremental replanning") for the argument that schedules stay
-  // bit-identical to the full-replan oracle.
-  void on_task_arrival_incremental(net::TaskId id, double now,
-                                   const std::vector<net::FlowId>& wave);
+  // whole arrival is a rollback to the session start. A session that adopts
+  // nothing is a full replan. See DESIGN.md ("Incremental replanning") for
+  // the argument that schedules stay bit-identical to the full-replan oracle
+  // (core::FullReplanOracle).
+
   /// Start a session against `target` (requires an empty journal): walk the
   /// committed order, vacating spent/broken entries and adopting the leading
   /// prefix that provably matches what a full replan would produce, then
@@ -253,10 +187,10 @@ class TapsScheduler : public sched::BaseScheduler {
   /// Roll occ_ back to the session start, restoring the committed state
   /// bitwise.
   void abandon_session();
-  /// Deterministic trim cadence (identical in both modes).
+  /// Deterministic trim cadence (the oracle runs the same one).
   void maybe_trim(double now);
 
-  // ---- event-driven rate maintenance (config_.event_driven_rates) ----
+  // ---- event-driven rate maintenance ----
   //
   // assign_rates keeps a min-heap of per-flow next-boundary times. A heap
   // entry stays valid while the flow's committed slices are untouched
@@ -272,30 +206,27 @@ class TapsScheduler : public sched::BaseScheduler {
   /// the flow needs makeup transmission — the caller then falls back to
   /// assign_rates_reference permanently.
   bool refresh_rate(net::FlowId fid, double now);
-  /// The original full rescan (and the only implementation of makeup
-  /// transmission), kept as the oracle.
+  /// The full rescan, the only implementation of makeup transmission
+  /// (packet-quantized execution can strand a sub-MTU tail past its last
+  /// slice; see pkt::PacketSimulator).
   double assign_rates_reference(double now);
 
   /// Unfinished flows of all currently admitted tasks, in last-committed
-  /// EDF+SJF order (the usually-still-sorted prefix try_plan exploits).
+  /// EDF+SJF order (the usually-still-sorted prefix sort_order exploits).
   [[nodiscard]] std::vector<net::FlowId> unfinished_admitted() const;
 
-  /// Trial-occupancy recycling: maps retired by commit() or from discarded
-  /// attempts keep their per-link storage for the next replan.
-  [[nodiscard]] OccupancyMap acquire_occupancy();
-  void release_occupancy(OccupancyMap&& occ) { occ_pool_.push_back(std::move(occ)); }
-
   TapsConfig config_;
+  /// Committed occupancy: between arrivals, exactly the union of the
+  /// committed order's slices (sessions mutate it in place under journal_).
   OccupancyMap occ_{0};
   std::vector<util::IntervalSet> slices_;  // indexed by FlowId
   std::vector<char> makeup_busy_;          // per-link claims within one assign_rates
   std::vector<net::FlowId> committed_order_;  // EDF+SJF order of the last commit
   PlanScratch plan_scratch_;               // per-flow candidate-path cache
-  std::vector<OccupancyMap> occ_pool_;     // retired trial maps, capacity kept
   TapsCounters counters_;
   PodAdmissionIndex pod_index_;            // hierarchical-admission registries
 
-  // Incremental-session state (meaningful only within one arrival, except
+  // Session state (meaningful only within one arrival, except
   // committed_remaining_ / cross_arrival_valid_ which persist across
   // arrivals as the reuse-validity tokens).
   OccupancyJournal journal_;
@@ -311,7 +242,8 @@ class TapsScheduler : public sched::BaseScheduler {
   std::vector<double> committed_remaining_;
   /// False until the first commit and after any event that edits scheduler
   /// state outside a commit (missed-deadline sibling invalidation): the next
-  /// arrival then takes the full-replan path, which re-establishes validity.
+  /// session then adopts nothing (a full replan), and its commit
+  /// re-establishes validity.
   bool cross_arrival_valid_ = false;
   std::size_t arrivals_since_trim_ = 0;
 

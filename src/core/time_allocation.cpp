@@ -6,16 +6,6 @@
 
 namespace taps::core {
 
-TimeAllocation allocate_time_reference(const OccupancyMap& occupancy, const topo::Path& path,
-                                       double now, double duration, double horizon) {
-  TimeAllocation out;
-  if (duration <= 0.0 || horizon <= now) return out;
-  const util::IntervalSet t_ocp = occupancy.path_union(path);
-  out.slices = t_ocp.allocate_earliest(now, duration, horizon);
-  if (!out.slices.empty()) out.completion = out.slices.back_end();
-  return out;
-}
-
 namespace {
 
 using Range = TimeAllocScratch::Range;

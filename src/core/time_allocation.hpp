@@ -6,15 +6,13 @@
 // from `now`. The flow's completion time on p is the end of the last
 // allocated slice.
 //
-// Two implementations, identical output (the equivalence property test
-// drives both on random instances):
-//   - allocate_time: materializes T_ocp restricted to the window that can
-//     matter — each link's range starts at its earliest-free hint and stops
-//     at min(completion_bound, horizon) — into reused scratch buffers, then
-//     scans it with a branch-and-bound abort.
-//   - allocate_time_reference: the textbook two-step (path_union, then
-//     IntervalSet::allocate_earliest), kept as the oracle and selectable at
-//     run time via PlanConfig::reference_allocator for A/B benchmarking.
+// allocate_time materializes T_ocp restricted to the window that can matter
+// — each link's range starts at its earliest-free hint and stops at
+// min(completion_bound, horizon) — into reused scratch buffers, then scans
+// it with a branch-and-bound abort. Its output is identical to the textbook
+// two-step (path_union, then IntervalSet::allocate_earliest), which lives in
+// taps_oracle as core::allocate_time_reference; the equivalence property
+// test drives both on random instances.
 #pragma once
 
 #include <limits>
@@ -76,11 +74,5 @@ struct TimeAllocScratch {
                                       double now, double duration, double horizon,
                                       double completion_bound, util::IntervalSet& slices,
                                       double& completion, TimeAllocScratch* scratch = nullptr);
-
-/// Reference implementation (materialize T_ocp, then allocate_earliest).
-/// Bit-identical results to allocate_time; slower on fragmented occupancy.
-[[nodiscard]] TimeAllocation allocate_time_reference(const OccupancyMap& occupancy,
-                                                     const topo::Path& path, double now,
-                                                     double duration, double horizon);
 
 }  // namespace taps::core

@@ -31,8 +31,7 @@ struct CommittedFlowView {
   net::TaskId task = net::kInvalidTask;
   /// True when this commit changed the flow's route or slices relative to
   /// the previous commit (a fresh grant / re-grant); false when the entry
-  /// was carried over verbatim. Mode-independent: the incremental and
-  /// full-replan paths flag the same entries on the same arrivals
+  /// was carried over verbatim — the same entries a full replan would flag
   /// (TapsCounters::slice_grants counts exactly these).
   bool regranted = false;
   const topo::Path* path = nullptr;

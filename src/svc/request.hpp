@@ -44,11 +44,9 @@ enum class Reason : std::uint8_t {
   /// The TAPS reject rule declined the task (infeasible, not worth a
   /// preemption) — the only reason that involves running the planner.
   kPlannerReject,
-  /// Endpoints span multiple pods while the service runs sharded with
-  /// cross-pod admission disabled; see docs/CONTROLLER.md ("Sharding")
-  /// for the single-shard fallback.
-  kCrossShard,
-  kMalformed,
+  /// Value 2 is retired; the values after it keep their encoding, which
+  /// response fingerprints hash.
+  kMalformed = 3,
   /// Arrival time earlier than an already-enqueued arrival.
   kOutOfOrder,
   /// client_tag equal to a request still in flight.
@@ -69,7 +67,6 @@ enum class Reason : std::uint8_t {
   switch (r) {
     case Reason::kAccepted: return "accepted";
     case Reason::kPlannerReject: return "planner-reject";
-    case Reason::kCrossShard: return "cross-shard";
     case Reason::kMalformed: return "malformed";
     case Reason::kOutOfOrder: return "out-of-order";
     case Reason::kDuplicate: return "duplicate";

@@ -1,9 +1,15 @@
 #include "svc/service_metrics.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
 
 namespace taps::svc {
+
+// aggregate() sums every TapsCounters field by hand; a new counter changes
+// this size and must be added there (and to the aggregate test) first.
+static_assert(sizeof(core::TapsCounters) == 18 * sizeof(std::size_t),
+              "TapsCounters changed: update svc::aggregate()");
 
 ShardStats aggregate(const std::vector<ShardStats>& shards) {
   ShardStats total;
@@ -31,6 +37,8 @@ ShardStats aggregate(const std::vector<ShardStats>& shards) {
     total.taps.checkpoint_reuse_flows += s.taps.checkpoint_reuse_flows;
     total.taps.session_restarts += s.taps.session_restarts;
     total.taps.occupancy_trims += s.taps.occupancy_trims;
+    total.taps.plan_commits += s.taps.plan_commits;
+    total.taps.slice_grants += s.taps.slice_grants;
     total.taps.pod_fast_rejects += s.taps.pod_fast_rejects;
     total.taps.pod_local_plans += s.taps.pod_local_plans;
     total.taps.budget_reservations += s.taps.budget_reservations;
@@ -102,6 +110,9 @@ metrics::RunMetrics to_run_metrics(const ServiceStats& service,
   m.prefix_reuse_flows = total.taps.cross_arrival_reuse_flows + total.taps.checkpoint_reuse_flows;
   const double denom = static_cast<double>(m.prefix_reuse_flows + m.flows_planned);
   m.prefix_reuse_ratio = denom == 0.0 ? 0.0 : static_cast<double>(m.prefix_reuse_flows) / denom;
+  m.plan_commits = total.taps.plan_commits;
+  m.preemptions = total.taps.tasks_preempted;
+  m.slice_grants = total.taps.slice_grants;
   m.pod_fast_rejects = total.taps.pod_fast_rejects;
   m.pod_local_plans = total.taps.pod_local_plans;
   m.budget_reservations = total.taps.budget_reservations;

@@ -200,9 +200,9 @@ std::string Shard::fingerprint() const {
   os << "counts " << processed_ << " " << accepted_ << " " << rejected_ << " " << preempted_
      << " " << completed_ << "\n";
   // Planner-effort counters (TapsCounters) are deliberately absent: they
-  // measure work done, not state reached, and legitimately differ between
-  // the incremental service and the full-replan oracle while the committed
-  // schedule below stays bit-identical.
+  // measure work done, not state reached, and legitimately differ across
+  // batching, compaction and trim cadences while the committed schedule
+  // below stays bit-identical.
   for (const Task& t : net_->tasks()) {
     os << "task " << task_seq_[static_cast<std::size_t>(t.id())] << " "
        << static_cast<int>(t.state) << " " << t.completed_flows << "\n";

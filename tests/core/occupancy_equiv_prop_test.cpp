@@ -3,9 +3,10 @@
 //
 // The replan optimization added three query shortcuts (per-link earliest-free
 // hints, path_union_from, the fused allocate_time) while keeping the plain
-// scans (path_union + IntervalSet search, allocate_time_reference) in-tree as
-// references. These properties pin the equivalence on random instances —
-// including interleaved mutations, which are exactly what invalidates hints.
+// scans (path_union + IntervalSet search, and taps_oracle's
+// allocate_time_reference) as references. These properties pin the
+// equivalence on random instances — including interleaved mutations, which
+// are exactly what invalidates hints.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/prop.hpp"
+#include "core/full_replan_oracle.hpp"
 #include "core/occupancy.hpp"
 #include "core/time_allocation.hpp"
 #include "util/interval_set.hpp"

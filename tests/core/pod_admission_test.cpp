@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fixtures.hpp"
+#include "core/full_replan_oracle.hpp"
 #include "core/taps_scheduler.hpp"
 #include "topo/fattree.hpp"
 #include "topo/pods.hpp"
@@ -67,7 +68,7 @@ TEST(PodAdmission, GenericTopologyDisablesTheIndex) {
   test::Dumbbell d = test::make_dumbbell(2);
   net::Network net(*d.topology);
   test::add_task(net, 0.0, 10.0, {test::flow(d.left[0], d.right[0], 1.0)});
-  TapsScheduler sched;  // hierarchical_precheck defaults to true
+  TapsScheduler sched;
   test::run(net, sched);
   EXPECT_FALSE(sched.pod_index().enabled());
   EXPECT_EQ(sched.counters().pod_fast_rejects, 0u);
@@ -110,15 +111,12 @@ TEST(PodAdmission, SingleUplinkPodFastRejectsOverload) {
   EXPECT_EQ(with_precheck.counters().tasks_accepted, 1u);
   EXPECT_EQ(with_precheck.counters().tasks_rejected, 1u);
 
-  // Oracle: the always-global pipeline decides identically.
+  // Oracle: the always-global full replan decides identically.
   net::Network oracle_net(topo);
   test::add_task(oracle_net, 0.0, 1.5, {test::flow(hosts[0], hosts[1], 1.0)});
   test::add_task(oracle_net, 0.0, 1.8, {test::flow(hosts[0], hosts[1], 1.0)});
-  TapsConfig cfg;
-  cfg.hierarchical_precheck = false;
-  TapsScheduler oracle(cfg);
+  FullReplanOracle oracle;
   test::run(oracle_net, oracle);
-  EXPECT_EQ(oracle.counters().pod_fast_rejects, 0u);
   for (std::size_t i = 0; i < net.tasks().size(); ++i) {
     EXPECT_EQ(net.tasks()[i].state, oracle_net.tasks()[i].state) << "task " << i;
   }
@@ -141,19 +139,19 @@ TEST(PodAdmission, ExactlyExhaustedBudgetIsNotFastRejected) {
   EXPECT_EQ(test::completed_tasks(net), 2u);
 }
 
-TEST(PodAdmission, RuntimeToggleDisablesFastPath) {
+TEST(PodAdmission, FullReplanOracleRejectsWindowOverrunWithoutFastPath) {
+  // The pure-window case above, through the oracle's global planner: same
+  // decision, reached by a trial replan instead of the precheck.
   FatTree topo(FatTreeConfig{4, 1.0});
   net::Network net(topo);
   const std::vector<topo::NodeId>& hosts = topo.hosts();
   test::add_task(net, 0.0, 10.0, {test::flow(hosts[0], hosts[1], 1.0)});
   test::add_task(net, 0.0, 1.0, {test::flow(hosts[8], hosts[12], 3.0)});
-  TapsScheduler sched;
-  sched.set_hierarchical_precheck(false);
-  test::run(net, sched);
-  // Same decision, no fast path: the flag only short-circuits effort.
-  EXPECT_EQ(sched.counters().pod_fast_rejects, 0u);
-  EXPECT_EQ(sched.counters().tasks_rejected, 1u);
-  EXPECT_EQ(sched.counters().tasks_accepted, 1u);
+  FullReplanOracle oracle;
+  test::run(net, oracle);
+  EXPECT_EQ(oracle.counters().tasks_rejected, 1u);
+  EXPECT_EQ(oracle.counters().tasks_accepted, 1u);
+  EXPECT_EQ(net.tasks()[1].state, net::TaskState::kRejected);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Bit-identity pin for hierarchical admission: the pod-local conservative
-// precheck (TapsConfig::hierarchical_precheck = true) must never reject a
-// task the global planner would admit — on random fat-tree scenarios, every
-// committed decision, path, slice set, per-link occupancy and flow outcome
-// must be BITWISE identical with the precheck on and off (the always-global
-// pipeline is the oracle).
+// Bit-identity pin for hierarchical admission: TapsScheduler's pod-local
+// conservative precheck must never reject a task the global planner would
+// admit — on random fat-tree scenarios, every committed decision, path,
+// slice set, per-link occupancy and flow outcome must be BITWISE identical
+// to core::FullReplanOracle, which has no precheck.
 //
 // The scenarios are biased toward what makes the precheck fire: hotspot
 // sources (many tasks sharing a host uplink), same-instant cascades (the
@@ -13,15 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <ostream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/prop.hpp"
-#include "core/taps_scheduler.hpp"
+#include "common/taps_equiv.hpp"
 #include "topo/fattree.hpp"
 
 namespace taps::core {
@@ -84,14 +80,16 @@ std::vector<TaskGen> gen_scenario(util::Rng& rng) {
   return tasks;
 }
 
+template <typename Scheduler>
 struct ScenarioRun {
   std::unique_ptr<topo::FatTree> topo;
   std::unique_ptr<net::Network> net;
-  std::unique_ptr<TapsScheduler> sched;
+  std::unique_ptr<Scheduler> sched;
 };
 
-ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool precheck, bool incremental) {
-  ScenarioRun r;
+template <typename Scheduler>
+ScenarioRun<Scheduler> run_scenario(const std::vector<TaskGen>& tasks) {
+  ScenarioRun<Scheduler> r;
   r.topo = std::make_unique<topo::FatTree>(topo::FatTreeConfig{4, 1.0});
   r.net = std::make_unique<net::Network>(*r.topo);
   const std::vector<topo::NodeId>& hosts = r.topo->hosts();
@@ -103,94 +101,17 @@ ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool precheck, bool 
     test::add_task(*r.net, t.arrival, t.arrival + t.slack, std::move(flows));
   }
   TapsConfig cfg;
-  cfg.hierarchical_precheck = precheck;
-  cfg.incremental_replan = incremental;
   cfg.trim_interval = 4;  // exercise registry compaction under the comparison
-  r.sched = std::make_unique<TapsScheduler>(cfg);
+  r.sched = std::make_unique<Scheduler>(cfg);
   (void)test::run(*r.net, *r.sched);
   return r;
 }
 
-std::optional<std::string> compare_runs(const ScenarioRun& on, const ScenarioRun& off) {
-  std::ostringstream os;
-  const auto fail = [&os]() -> std::optional<std::string> { return os.str(); };
-
-  for (std::size_t i = 0; i < on.net->tasks().size(); ++i) {
-    if (on.net->tasks()[i].state != off.net->tasks()[i].state) {
-      os << "task " << i << " state: precheck-on " << net::to_string(on.net->tasks()[i].state)
-         << " vs off " << net::to_string(off.net->tasks()[i].state);
-      return fail();
-    }
-  }
-  for (std::size_t i = 0; i < on.net->flows().size(); ++i) {
-    const net::Flow& a = on.net->flows()[i];
-    const net::Flow& b = off.net->flows()[i];
-    if (a.state != b.state) {
-      os << "flow " << i << " state differs";
-      return fail();
-    }
-    if (a.remaining != b.remaining) {  // bitwise on purpose
-      os << "flow " << i << " remaining: " << a.remaining << " vs " << b.remaining;
-      return fail();
-    }
-    if (a.completion_time != b.completion_time) {
-      os << "flow " << i << " completion: " << a.completion_time << " vs "
-         << b.completion_time;
-      return fail();
-    }
-    if (a.path.links != b.path.links) {
-      os << "flow " << i << " committed path differs";
-      return fail();
-    }
-    if (on.sched->slices(a.id()) != off.sched->slices(b.id())) {
-      os << "flow " << i << " slices: " << on.sched->slices(a.id()) << " vs "
-         << off.sched->slices(b.id());
-      return fail();
-    }
-  }
-  const std::size_t links = on.net->graph().link_count();
-  for (topo::LinkId l = 0; l < static_cast<topo::LinkId>(links); ++l) {
-    if (on.sched->occupancy().link(l) != off.sched->occupancy().link(l)) {
-      os << "occupancy on link " << l << ": " << on.sched->occupancy().link(l) << " vs "
-         << off.sched->occupancy().link(l);
-      return fail();
-    }
-  }
-  // Decision counters must match; effort counters (replans, flows_planned,
-  // reuse, sorts) legitimately differ — skipping the trial replan on a fast
-  // reject is the whole point.
-  const TapsCounters& ca = on.sched->counters();
-  const TapsCounters& cb = off.sched->counters();
-  if (ca.tasks_accepted != cb.tasks_accepted || ca.tasks_rejected != cb.tasks_rejected ||
-      ca.tasks_preempted != cb.tasks_preempted || ca.plan_commits != cb.plan_commits ||
-      ca.slice_grants != cb.slice_grants || ca.replan_reverts != cb.replan_reverts) {
-    os << "decision counters differ: accepted " << ca.tasks_accepted << "/"
-       << cb.tasks_accepted << " rejected " << ca.tasks_rejected << "/" << cb.tasks_rejected
-       << " preempted " << ca.tasks_preempted << "/" << cb.tasks_preempted << " commits "
-       << ca.plan_commits << "/" << cb.plan_commits << " grants " << ca.slice_grants << "/"
-       << cb.slice_grants << " reverts " << ca.replan_reverts << "/" << cb.replan_reverts;
-    return fail();
-  }
-  if (cb.pod_fast_rejects != 0) {
-    os << "oracle run fast-rejected " << cb.pod_fast_rejects << " tasks with the precheck off";
-    return fail();
-  }
-  return std::nullopt;
-}
-
 TAPS_PROP(TapsHierarchyProp, PrecheckBitIdenticalIncremental, 150) {
   prop.for_all(gen_scenario, [](const std::vector<TaskGen>& tasks) {
-    const ScenarioRun on = run_scenario(tasks, /*precheck=*/true, /*incremental=*/true);
-    const ScenarioRun off = run_scenario(tasks, /*precheck=*/false, /*incremental=*/true);
-    return compare_runs(on, off);
-  });
-}
-
-TAPS_PROP(TapsHierarchyProp, PrecheckBitIdenticalFullReplan, 60) {
-  prop.for_all(gen_scenario, [](const std::vector<TaskGen>& tasks) {
-    const ScenarioRun on = run_scenario(tasks, /*precheck=*/true, /*incremental=*/false);
-    const ScenarioRun off = run_scenario(tasks, /*precheck=*/false, /*incremental=*/false);
-    return compare_runs(on, off);
+    const auto taps = run_scenario<TapsScheduler>(tasks);
+    const auto oracle = run_scenario<FullReplanOracle>(tasks);
+    return test::compare_with_oracle(*taps.net, *taps.sched, *oracle.net, *oracle.sched);
   });
 }
 
@@ -200,18 +121,18 @@ TEST(TapsHierarchyProp, FastRejectsActuallyHappenInAggregate) {
   // nonzero number of tasks locally, and must save real planning work.
   util::Rng rng(0xBADCAFE);
   std::size_t fast = 0;
-  std::size_t planned_on = 0;
-  std::size_t planned_off = 0;
+  std::size_t planned_taps = 0;
+  std::size_t planned_oracle = 0;
   for (int i = 0; i < 25; ++i) {
     const std::vector<TaskGen> tasks = gen_scenario(rng);
-    const ScenarioRun on = run_scenario(tasks, /*precheck=*/true, /*incremental=*/true);
-    const ScenarioRun off = run_scenario(tasks, /*precheck=*/false, /*incremental=*/true);
-    fast += on.sched->counters().pod_fast_rejects;
-    planned_on += on.sched->counters().flows_planned;
-    planned_off += off.sched->counters().flows_planned;
+    const auto taps = run_scenario<TapsScheduler>(tasks);
+    const auto oracle = run_scenario<FullReplanOracle>(tasks);
+    fast += taps.sched->counters().pod_fast_rejects;
+    planned_taps += taps.sched->counters().flows_planned;
+    planned_oracle += oracle.sched->counters().flows_planned;
   }
   EXPECT_GT(fast, 0u);
-  EXPECT_LT(planned_on, planned_off);
+  EXPECT_LT(planned_taps, planned_oracle);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Bit-identity pin for incremental replanning: the journaled in-place
-// session (TapsConfig::incremental_replan = true) must produce schedules
-// BITWISE identical to the from-scratch full replan (= false, the oracle) on
-// random scenarios — same admission/rejection/preemption decisions, same
-// committed paths and slices, same per-link occupancy, same flow outcomes.
+// Bit-identity pin for incremental replanning: TapsScheduler's journaled
+// in-place sessions must produce schedules BITWISE identical to
+// core::FullReplanOracle's from-scratch replans on random scenarios — same
+// admission/rejection/preemption decisions, same committed paths and
+// slices, same per-link occupancy, same flow outcomes.
 //
 // The scenarios deliberately mix same-instant arrival cascades (maximum
 // cross-arrival prefix reuse) with spread arrivals (transmission between
@@ -12,15 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <ostream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/prop.hpp"
-#include "core/taps_scheduler.hpp"
+#include "common/taps_equiv.hpp"
 
 namespace taps::core {
 namespace {
@@ -73,14 +70,16 @@ std::vector<TaskGen> gen_scenario(util::Rng& rng) {
   return tasks;
 }
 
+template <typename Scheduler>
 struct ScenarioRun {
   std::unique_ptr<test::Dumbbell> d;
   std::unique_ptr<net::Network> net;
-  std::unique_ptr<TapsScheduler> sched;
+  std::unique_ptr<Scheduler> sched;
 };
 
-ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool incremental) {
-  ScenarioRun r;
+template <typename Scheduler>
+ScenarioRun<Scheduler> run_scenario(const std::vector<TaskGen>& tasks) {
+  ScenarioRun<Scheduler> r;
   r.d = std::make_unique<test::Dumbbell>(test::make_dumbbell(kSide));
   r.net = std::make_unique<net::Network>(*r.d->topology);
   for (const TaskGen& t : tasks) {
@@ -91,78 +90,17 @@ ScenarioRun run_scenario(const std::vector<TaskGen>& tasks, bool incremental) {
     test::add_task(*r.net, t.arrival, t.arrival + t.slack, std::move(flows));
   }
   TapsConfig cfg;
-  cfg.incremental_replan = incremental;
   cfg.trim_interval = 4;  // exercise the trim cadence under the comparison
-  r.sched = std::make_unique<TapsScheduler>(cfg);
+  r.sched = std::make_unique<Scheduler>(cfg);
   (void)test::run(*r.net, *r.sched);
   return r;
 }
 
-std::optional<std::string> compare_runs(const ScenarioRun& inc, const ScenarioRun& full) {
-  std::ostringstream os;
-  const auto fail = [&os]() -> std::optional<std::string> { return os.str(); };
-
-  for (std::size_t i = 0; i < inc.net->tasks().size(); ++i) {
-    if (inc.net->tasks()[i].state != full.net->tasks()[i].state) {
-      os << "task " << i << " state: incremental " << net::to_string(inc.net->tasks()[i].state)
-         << " vs full " << net::to_string(full.net->tasks()[i].state);
-      return fail();
-    }
-  }
-  for (std::size_t i = 0; i < inc.net->flows().size(); ++i) {
-    const net::Flow& a = inc.net->flows()[i];
-    const net::Flow& b = full.net->flows()[i];
-    if (a.state != b.state) {
-      os << "flow " << i << " state differs";
-      return fail();
-    }
-    if (a.remaining != b.remaining) {  // bitwise on purpose
-      os << "flow " << i << " remaining: " << a.remaining << " vs " << b.remaining;
-      return fail();
-    }
-    if (a.completion_time != b.completion_time) {
-      os << "flow " << i << " completion: " << a.completion_time << " vs "
-         << b.completion_time;
-      return fail();
-    }
-    if (a.path.links != b.path.links) {
-      os << "flow " << i << " committed path differs";
-      return fail();
-    }
-    if (inc.sched->slices(a.id()) != full.sched->slices(b.id())) {
-      os << "flow " << i << " slices: " << inc.sched->slices(a.id()) << " vs "
-         << full.sched->slices(b.id());
-      return fail();
-    }
-  }
-  const std::size_t links = inc.net->graph().link_count();
-  for (topo::LinkId l = 0; l < static_cast<topo::LinkId>(links); ++l) {
-    if (inc.sched->occupancy().link(l) != full.sched->occupancy().link(l)) {
-      os << "occupancy on link " << l << ": " << inc.sched->occupancy().link(l) << " vs "
-         << full.sched->occupancy().link(l);
-      return fail();
-    }
-  }
-  const TapsCounters& ca = inc.sched->counters();
-  const TapsCounters& cb = full.sched->counters();
-  if (ca.tasks_accepted != cb.tasks_accepted || ca.tasks_rejected != cb.tasks_rejected ||
-      ca.tasks_preempted != cb.tasks_preempted || ca.replans != cb.replans ||
-      ca.replan_reverts != cb.replan_reverts) {
-    os << "decision counters differ: accepted " << ca.tasks_accepted << "/"
-       << cb.tasks_accepted << " rejected " << ca.tasks_rejected << "/" << cb.tasks_rejected
-       << " preempted " << ca.tasks_preempted << "/" << cb.tasks_preempted << " replans "
-       << ca.replans << "/" << cb.replans << " reverts " << ca.replan_reverts << "/"
-       << cb.replan_reverts;
-    return fail();
-  }
-  return std::nullopt;
-}
-
 TAPS_PROP(TapsIncrementalProp, BitIdenticalToFullReplan, 150) {
   prop.for_all(gen_scenario, [](const std::vector<TaskGen>& tasks) {
-    const ScenarioRun inc = run_scenario(tasks, /*incremental=*/true);
-    const ScenarioRun full = run_scenario(tasks, /*incremental=*/false);
-    return compare_runs(inc, full);
+    const auto taps = run_scenario<TapsScheduler>(tasks);
+    const auto oracle = run_scenario<FullReplanOracle>(tasks);
+    return test::compare_with_oracle(*taps.net, *taps.sched, *oracle.net, *oracle.sched);
   });
 }
 
@@ -173,19 +111,19 @@ TEST(TapsIncrementalProp, ReuseActuallyHappensInAggregate) {
   // planning work relative to the full-replan oracle.
   util::Rng rng(0xC0FFEE);
   std::size_t reused = 0;
-  std::size_t planned_inc = 0;
-  std::size_t planned_full = 0;
+  std::size_t planned_taps = 0;
+  std::size_t planned_oracle = 0;
   for (int i = 0; i < 25; ++i) {
     const std::vector<TaskGen> tasks = gen_scenario(rng);
-    const ScenarioRun inc = run_scenario(tasks, /*incremental=*/true);
-    const ScenarioRun full = run_scenario(tasks, /*incremental=*/false);
-    reused += inc.sched->counters().cross_arrival_reuse_flows +
-              inc.sched->counters().checkpoint_reuse_flows;
-    planned_inc += inc.sched->counters().flows_planned;
-    planned_full += full.sched->counters().flows_planned;
+    const auto taps = run_scenario<TapsScheduler>(tasks);
+    const auto oracle = run_scenario<FullReplanOracle>(tasks);
+    reused += taps.sched->counters().cross_arrival_reuse_flows +
+              taps.sched->counters().checkpoint_reuse_flows;
+    planned_taps += taps.sched->counters().flows_planned;
+    planned_oracle += oracle.sched->counters().flows_planned;
   }
   EXPECT_GT(reused, 0u);
-  EXPECT_LT(planned_inc, planned_full);
+  EXPECT_LT(planned_taps, planned_oracle);
 }
 
 }  // namespace

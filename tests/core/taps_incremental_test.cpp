@@ -166,11 +166,11 @@ TEST(TapsIncremental, CheckpointReuseOnRejectedNewcomer) {
 }
 
 TEST(TapsIncremental, MissedDeadlineStopsSiblingsAndInvalidatesReuse) {
-  // Satellite regression for the no-waste rule: when an admitted flow is
-  // reported missed, every unfinished sibling must be rejected, its rate
-  // zeroed and its slices cleared — and the scheduler must keep working
-  // (the next arrival takes the full-replan path and re-establishes the
-  // incremental session's validity).
+  // Regression for the no-waste rule: when an admitted flow is reported
+  // missed, every unfinished sibling must be rejected, its rate zeroed, its
+  // committed occupancy vacated and its slices cleared — and the scheduler
+  // must keep working (the next session adopts nothing and re-establishes
+  // the cross-arrival validity tokens).
   auto d = make_dumbbell(6);
   net::Network net(*d.topology);
   const net::TaskId t0 =
@@ -187,21 +187,40 @@ TEST(TapsIncremental, MissedDeadlineStopsSiblingsAndInvalidatesReuse) {
   // Simulate the data plane reporting the first flow missed (as the packet
   // engine does when an exact-fit admission lands a pipeline late).
   const net::FlowId missed = net.tasks()[static_cast<std::size_t>(t0)].spec.flows[0];
+  std::vector<util::IntervalSet> granted;
+  for (const net::FlowId fid : net.tasks()[static_cast<std::size_t>(t0)].spec.flows) {
+    granted.push_back(sched.slices(fid));
+    ASSERT_FALSE(granted.back().empty());
+  }
   net.flow(missed).state = net::FlowState::kMissed;
   sched.on_flow_finished(missed, 5.0);
 
-  for (const net::FlowId sibling : net.tasks()[static_cast<std::size_t>(t0)].spec.flows) {
+  const auto& t0_flows = net.tasks()[static_cast<std::size_t>(t0)].spec.flows;
+  for (std::size_t k = 0; k < t0_flows.size(); ++k) {
+    const net::FlowId sibling = t0_flows[k];
     if (sibling == missed) continue;
     const net::Flow& s = net.flow(sibling);
     EXPECT_EQ(s.state, net::FlowState::kRejected) << "sibling " << sibling;
     EXPECT_DOUBLE_EQ(s.rate, 0.0) << "sibling " << sibling;
     EXPECT_TRUE(sched.slices(sibling).empty()) << "sibling " << sibling;
+    // Its committed occupancy left the map with its slices.
+    for (const topo::LinkId l : s.path.links) {
+      for (const util::Interval& iv : granted[k].intervals()) {
+        EXPECT_FALSE(sched.occupancy().link(l).intersects(iv.lo, iv.hi))
+            << "sibling " << sibling << " still occupies link " << l;
+      }
+    }
   }
-  // The unrelated task is untouched.
+  // The unrelated task is untouched, occupancy included.
   const net::FlowId other = net.tasks()[static_cast<std::size_t>(t1)].spec.flows[0];
   EXPECT_EQ(net.flow(other).state, net::FlowState::kActive);
+  for (const topo::LinkId l : net.flow(other).path.links) {
+    for (const util::Interval& iv : sched.slices(other).intervals()) {
+      EXPECT_TRUE(sched.occupancy().link(l).contains(iv.lo)) << "link " << l;
+    }
+  }
 
-  // A later arrival still schedules correctly on the full-replan fallback.
+  // A later arrival still schedules correctly (its session adopts nothing).
   const net::TaskId t2 = add_task(net, 6.0, 40.0, {flow(d.left[4], d.right[4], 1.0)});
   sched.on_task_arrival(t2, 6.0);
   EXPECT_EQ(sched.counters().tasks_accepted, 3u);

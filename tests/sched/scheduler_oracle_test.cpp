@@ -5,9 +5,9 @@
 // workload prints its seed and reproduces deterministically.
 //
 // The negative tests prove the oracle has teeth: a deliberately seeded
-// planner mutation (skipping OccupancyMap::occupy for one flow — the
-// TapsConfig::fault_skip_occupy knob) and a rogue rate assignment must both
-// be caught.
+// planner mutation (core::FullReplanOracle's skip-occupy fault hook, which
+// drops one flow's grant from the occupancy map) and a rogue rate
+// assignment must both be caught.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,7 +15,7 @@
 
 #include "common/fixtures.hpp"
 #include "common/prop.hpp"
-#include "core/taps_scheduler.hpp"
+#include "core/full_replan_oracle.hpp"
 #include "sim/invariant_checker.hpp"
 #include "workload/task_generator.hpp"
 
@@ -119,19 +119,18 @@ TAPS_PROP(SchedulerOracleProp, AllSchedulersSurviveOracle, 10) {
 
 // ---- negative tests: the oracle must catch seeded faults ----------------
 
-/// Two equal single-flow tasks sharing the dumbbell bottleneck. With the
-/// planner mutation active, flow 0's slices are never recorded in the
-/// occupancy map, so flow 1 is granted the same interval and both transmit
-/// simultaneously — exactly the regression the oracle exists to catch.
+/// Two equal single-flow tasks sharing the dumbbell bottleneck, planned by
+/// the full-replan oracle. With the planner mutation active, flow 0's
+/// slices never stay in the occupancy map, so flow 1 is granted the same
+/// interval and both transmit simultaneously — exactly the regression the
+/// invariant checker exists to catch.
 void run_faulted_taps(net::FlowId faulty_flow) {
   test::Dumbbell d = test::make_dumbbell(4);
   net::Network net(*d.topology);
   test::add_task(net, 0.0, 10.0, {test::flow(d.left[0], d.right[0], 4.0)});
   test::add_task(net, 0.0, 10.0, {test::flow(d.left[1], d.right[1], 4.0)});
 
-  core::TapsConfig config;
-  config.fault_skip_occupy = faulty_flow;
-  core::TapsScheduler scheduler(config);
+  core::FullReplanOracle scheduler(core::TapsConfig{}, faulty_flow);
   sim::InvariantConfig cfg;
   cfg.exclusive_links = true;
   sim::InvariantChecker oracle(net, cfg);

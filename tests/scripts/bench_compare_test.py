@@ -112,13 +112,28 @@ class BenchCompareTest(unittest.TestCase):
         result = self.run_compare(base, cur, "--threshold", "0")
         self.assertEqual(result.returncode, 2)
 
-    def test_new_and_missing_benchmarks_are_not_gated(self):
-        base = self.write("base.json", doc([("old/bench", 1.00), ("kept", 1.00)]))
+    def test_new_benchmarks_are_not_gated(self):
+        base = self.write("base.json", doc([("kept", 1.00)]))
         cur = self.write("cur.json", doc([("kept", 1.00), ("new/bench", 5.00)]))
         result = self.run_compare(base, cur)
         self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertIn("MISSING", result.stdout)
         self.assertIn("new", result.stdout)
+
+    def test_missing_baseline_benchmark_fails_the_gate(self):
+        base = self.write("base.json", doc([("old/bench", 1.00), ("kept", 1.00)]))
+        cur = self.write("cur.json", doc([("kept", 1.00)]))
+        result = self.run_compare(base, cur)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("MISSING", result.stdout)
+        self.assertIn("old/bench", result.stderr)
+
+    def test_warn_only_downgrades_missing_benchmark_to_exit_zero(self):
+        base = self.write("base.json", doc([("old/bench", 1.00), ("kept", 1.00)]))
+        cur = self.write("cur.json", doc([("kept", 1.00)]))
+        result = self.run_compare(base, cur, "--warn-only")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("MISSING", result.stdout)
+        self.assertIn("--warn-only", result.stderr)
 
     def test_metric_drift_is_reported_but_not_gated(self):
         base = self.write(

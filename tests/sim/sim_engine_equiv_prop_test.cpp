@@ -5,10 +5,12 @@
 // event stream when a recorder is attached. Only the SimEffort work counters
 // may differ (that is the point of the indexed engine).
 //
-// The property runs every scheduler — including TAPS under both the
-// event-driven and the rescan rate maintenance — over randomized multi-wave
-// workloads from the shrinking kit, so a divergence reports a seed and a
-// minimal scheduler/workload pair.
+// The property runs every scheduler — including TAPS's full-replan oracle,
+// whose plain rate rescan backs TapsScheduler's event-driven rates — over
+// randomized multi-wave workloads from the shrinking kit, so a divergence
+// reports a seed and a minimal scheduler/workload pair. TAPS's outcomes
+// must also match the oracle's bit for bit, which pins the event-driven
+// rates to the rescan.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,7 +21,7 @@
 
 #include "common/fixtures.hpp"
 #include "common/prop.hpp"
-#include "core/taps_scheduler.hpp"
+#include "core/full_replan_oracle.hpp"
 #include "exp/experiment.hpp"
 #include "sim/timeline.hpp"
 #include "workload/task_generator.hpp"
@@ -31,20 +33,15 @@ using test::add_task;
 using test::flow;
 using test::make_dumbbell;
 
-/// One scheduler configuration under test: a kind, plus the TAPS rate-
-/// maintenance toggle (ignored for other kinds).
+/// One scheduler configuration under test: a kind, or (oracle = true) the
+/// TAPS full-replan oracle.
 struct SchedConfig {
   exp::SchedulerKind kind = exp::SchedulerKind::kFairSharing;
-  bool event_driven_rates = true;
+  bool oracle = false;
 };
 
 std::unique_ptr<Scheduler> make(const SchedConfig& sc) {
-  if (sc.kind == exp::SchedulerKind::kTaps) {
-    core::TapsConfig cfg;
-    cfg.max_paths = 16;
-    cfg.event_driven_rates = sc.event_driven_rates;
-    return std::make_unique<core::TapsScheduler>(cfg);
-  }
+  if (sc.oracle) return std::make_unique<core::FullReplanOracle>();
   return exp::make_scheduler(sc.kind, 16);
 }
 
@@ -52,9 +49,9 @@ const std::vector<SchedConfig>& all_configs() {
   static const std::vector<SchedConfig> kConfigs = [] {
     std::vector<SchedConfig> v;
     for (const exp::SchedulerKind k : exp::extended_schedulers()) {
-      v.push_back(SchedConfig{k, true});
+      v.push_back(SchedConfig{k, false});
     }
-    v.push_back(SchedConfig{exp::SchedulerKind::kTaps, false});
+    v.push_back(SchedConfig{exp::SchedulerKind::kTaps, true});
     return v;
   }();
   return kConfigs;
@@ -140,13 +137,13 @@ TAPS_PROP(SimEngineEquivProp, IndexedMatchesReferenceBitwise, 8) {
     wc.mean_deadline = c.mean_deadline;
     wc.waves_per_task = c.waves_per_task;
     wc.size_distribution = c.size_distribution;
+    std::string taps_fp;    // event-driven rates over journaled sessions
+    std::string oracle_fp;  // plain rescan over from-scratch replans
     for (const SchedConfig& sc : all_configs()) {
       const RunOutput ref = run_once(wc, c.workload_seed, sc, SimEngine::kReference);
       const RunOutput idx = run_once(wc, c.workload_seed, sc, SimEngine::kIndexed);
-      const std::string label = std::string(exp::to_string(sc.kind)) +
-                                (sc.kind == exp::SchedulerKind::kTaps
-                                     ? (sc.event_driven_rates ? "/event-driven" : "/rescan")
-                                     : "");
+      const std::string label =
+          std::string(exp::to_string(sc.kind)) + (sc.oracle ? "/full-replan-oracle" : "");
       if (ref.fingerprint != idx.fingerprint) {
         return label + ": outcome fingerprints diverge\n--- reference:\n" + ref.fingerprint +
                "--- indexed:\n" + idx.fingerprint;
@@ -155,45 +152,47 @@ TAPS_PROP(SimEngineEquivProp, IndexedMatchesReferenceBitwise, 8) {
         return label + ": timelines diverge (" + std::to_string(ref.timeline.events.size()) +
                " vs " + std::to_string(idx.timeline.events.size()) + " events)";
       }
+      if (sc.kind == exp::SchedulerKind::kTaps) (sc.oracle ? oracle_fp : taps_fp) = idx.fingerprint;
+    }
+    if (taps_fp != oracle_fp) {
+      return "TAPS diverges from its full-replan oracle\n--- TAPS:\n" + taps_fp +
+             "--- oracle:\n" + oracle_fp;
     }
     return std::nullopt;
   });
 }
 
 /// Deterministic contended-dumbbell case crossing every decision path
-/// (admit, reject, preempt) under incremental TAPS, with the recorder
-/// attached to both planes — the same workload as the TimelineIdentity
-/// suite, now compared across engines.
+/// (admit, reject, preempt) under TAPS, with the recorder attached to both
+/// planes — the same workload as the TimelineIdentity suite, now compared
+/// across engines.
 TEST(SimEngineEquiv, TimelineIdenticalOnContendedDumbbell) {
-  for (const bool incremental : {false, true}) {
-    auto run_engine = [incremental](SimEngine engine) {
-      auto d = make_dumbbell(4);
-      net::Network net(*d.topology);
-      add_task(net, 0.0, 8.0,
-               {flow(d.left[0], d.right[0], 4.0), flow(d.left[1], d.right[1], 2.0)});
-      add_task(net, 1.0, 3.0, {flow(d.left[2], d.right[2], 1.5)});
-      add_task(net, 1.0, 9.0, {flow(d.left[3], d.right[3], 3.0)});
-      add_task(net, 2.0, 4.0, {flow(d.left[0], d.right[1], 1.0)});
-      add_task(net, 2.5, 5.0, {flow(d.left[1], d.right[0], 2.0)});
-      add_task(net, 3.0, 6.5, {flow(d.left[2], d.right[3], 2.5)});
-      core::TapsConfig cfg;
-      cfg.incremental_replan = incremental;
-      cfg.preempt_policy = core::PreemptPolicy::kSchedulable;
-      cfg.trim_interval = 2;
-      core::TapsScheduler sched(cfg);
-      TimelineRecorder rec(TimelineConfig{.record_transmissions = true});
-      sched.set_schedule_observer(&rec);
-      FluidSimulator simulator(net, sched, engine);
-      simulator.set_observer(&rec);
-      const SimStats stats = simulator.run();
-      return std::make_pair(outcome_fingerprint(net, stats), rec.timeline());
-    };
-    const auto [ref_fp, ref_tl] = run_engine(SimEngine::kReference);
-    const auto [idx_fp, idx_tl] = run_engine(SimEngine::kIndexed);
-    EXPECT_EQ(ref_fp, idx_fp) << "incremental=" << incremental;
-    EXPECT_TRUE(ref_tl == idx_tl) << "timeline diverged (incremental=" << incremental << ")";
-    EXPECT_GT(ref_tl.events.size(), 6u);
-  }
+  auto run_engine = [](SimEngine engine) {
+    auto d = make_dumbbell(4);
+    net::Network net(*d.topology);
+    add_task(net, 0.0, 8.0,
+             {flow(d.left[0], d.right[0], 4.0), flow(d.left[1], d.right[1], 2.0)});
+    add_task(net, 1.0, 3.0, {flow(d.left[2], d.right[2], 1.5)});
+    add_task(net, 1.0, 9.0, {flow(d.left[3], d.right[3], 3.0)});
+    add_task(net, 2.0, 4.0, {flow(d.left[0], d.right[1], 1.0)});
+    add_task(net, 2.5, 5.0, {flow(d.left[1], d.right[0], 2.0)});
+    add_task(net, 3.0, 6.5, {flow(d.left[2], d.right[3], 2.5)});
+    core::TapsConfig cfg;
+    cfg.preempt_policy = core::PreemptPolicy::kSchedulable;
+    cfg.trim_interval = 2;
+    core::TapsScheduler sched(cfg);
+    TimelineRecorder rec(TimelineConfig{.record_transmissions = true});
+    sched.set_schedule_observer(&rec);
+    FluidSimulator simulator(net, sched, engine);
+    simulator.set_observer(&rec);
+    const SimStats stats = simulator.run();
+    return std::make_pair(outcome_fingerprint(net, stats), rec.timeline());
+  };
+  const auto [ref_fp, ref_tl] = run_engine(SimEngine::kReference);
+  const auto [idx_fp, idx_tl] = run_engine(SimEngine::kIndexed);
+  EXPECT_EQ(ref_fp, idx_fp);
+  EXPECT_TRUE(ref_tl == idx_tl) << "timeline diverged";
+  EXPECT_GT(ref_tl.events.size(), 6u);
 }
 
 /// The effort counters must actually tell the two engines apart on a

@@ -1,10 +1,10 @@
 // Property: the service's batching, queueing, pod-sharding and worker
 // threads are pure plumbing — admission outcomes, grant slices and committed
-// occupancy are bit-identical to the *sequential full-replan oracle*: a bare
-// svc::Shard per admission domain, fed that domain's requests one at a time
-// in submission order, with incremental replanning, occupancy trimming and
-// registry compaction all disabled (TapsConfig::incremental_replan = false
-// keeps the original replan-from-scratch path).
+// occupancy are bit-identical to the *sequential oracle*: a bare svc::Shard
+// per admission domain, fed that domain's requests one at a time in
+// submission order, with occupancy trimming and registry compaction both
+// disabled. (The shard's scheduler itself is pinned to the from-scratch
+// core::FullReplanOracle by the core property suites.)
 //
 // For every seeded pod-local workload we compare, bitwise:
 //   - single-shard service (the paper's global controller) vs a single
@@ -64,13 +64,12 @@ struct OracleRun {
   std::vector<std::string> fingerprints;     // one per admission domain
 };
 
-/// The sequential full-replan oracle: no queue, no batches, no threads —
+/// The sequential oracle: no queue, no batches, no threads —
 /// each domain's Shard processes its requests directly, one at a time.
 OracleRun run_oracle(const topo::FatTree& ft, const std::vector<svc::TaskRequest>& requests,
                      std::size_t shards) {
   svc::ShardConfig config;
   config.compact_interval = 0;
-  config.taps.incremental_replan = false;
   config.taps.trim_interval = 0;
   // Sharded services also carry the (here idle) global cross-pod domain;
   // mirror the layout so fingerprint vectors compare index for index.

@@ -50,7 +50,6 @@ TEST(SvcPodStress, SubmittingStormRacesCrossPodReserveAndCommit) {
   config.shards = 4;
   config.threads = 4;
   config.max_batch = 16;
-  config.cross_pod = true;
   config.queue_capacity = kProducers * kPerProducer + 1;
   AdmissionService service(ft, config);
   service.start();
@@ -106,7 +105,6 @@ TEST(SvcPodStress, MixedLocalAndSpanningStormAuditsClean) {
   config.shards = 4;
   config.threads = 4;
   config.max_batch = 8;
-  config.cross_pod = true;
   config.queue_capacity = kProducers * kPerProducer + 1;
   AdmissionService service(ft, config);
   service.start();

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/fixtures.hpp"
@@ -175,20 +177,6 @@ TEST(SvcService, ShardedServiceAdmitsCrossPodTasksOnGlobalDomain) {
     EXPECT_EQ(service.audit(), std::nullopt);
   }
   {
-    // Legacy classification: with cross-pod admission off, spanning tasks
-    // are still rejected kCrossShard.
-    ServiceConfig legacy = sharded;
-    legacy.cross_pod = false;
-    AdmissionService service(ft, legacy);
-    EXPECT_FALSE(service.has_global_domain());
-    EXPECT_EQ(service.shard_count(), 4u);
-    (void)service.submit(cross);
-    service.pump();
-    const auto responses = service.take_responses();
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_EQ(responses[0].reason, Reason::kCrossShard);
-  }
-  {
     // The single-shard (global) service admits the same cross-pod task.
     AdmissionService service(ft, ServiceConfig{});
     EXPECT_FALSE(service.has_global_domain());
@@ -254,6 +242,48 @@ TEST(SvcService, MetricsSurfaceCoversCountersAndReasons) {
   EXPECT_EQ(m.tasks_total, requests.size());
   EXPECT_EQ(m.tasks_completed + m.tasks_rejected, m.tasks_total);
   EXPECT_EQ(m.replans, svc::aggregate(run.shards).taps.replans);
+}
+
+TEST(SvcService, AggregateSumsEveryTapsCounter) {
+  // Tight slack and the forward-looking preemption reading, so decisions,
+  // commits, grants, rejects and preemptions all land in the counters.
+  topo::FatTree ft(topo::FatTreeConfig{4, kPow2Capacity});
+  util::Rng rng(7);
+  WorkloadKnobs knobs;
+  knobs.tasks = 120;
+  knobs.slack_lo = 0.8;
+  knobs.slack_hi = 2.0;
+  const auto requests = pod_local_workload(ft, rng, knobs);
+  ServiceConfig config;
+  config.shards = 2;
+  config.shard.taps.preempt_policy = core::PreemptPolicy::kSchedulable;
+  const SvcRun run = run_service(ft, requests, config, /*started=*/false);
+  ASSERT_EQ(run.shards.size(), 3u);  // two pod shards plus the global domain
+
+  // TapsCounters is all std::size_t (aggregate() static_asserts its size),
+  // so compare it field by field as a flat array.
+  constexpr std::size_t kFields = sizeof(core::TapsCounters) / sizeof(std::size_t);
+  using Fields = std::array<std::size_t, kFields>;
+  const auto fields = [](const core::TapsCounters& c) {
+    Fields out{};
+    std::memcpy(out.data(), &c, sizeof(c));
+    return out;
+  };
+  Fields want{};
+  for (const svc::ShardStats& s : run.shards) {
+    const Fields f = fields(s.taps);
+    for (std::size_t k = 0; k < kFields; ++k) want[k] += f[k];
+  }
+  const core::TapsCounters total = svc::aggregate(run.shards).taps;
+  EXPECT_EQ(fields(total), want);
+  EXPECT_GT(total.plan_commits, 0u);
+  EXPECT_GT(total.slice_grants, 0u);
+  EXPECT_GT(total.tasks_rejected, 0u);
+
+  const metrics::RunMetrics m = svc::to_run_metrics(run.stats, run.shards);
+  EXPECT_EQ(m.plan_commits, total.plan_commits);
+  EXPECT_EQ(m.slice_grants, total.slice_grants);
+  EXPECT_EQ(m.preemptions, total.tasks_preempted);
 }
 
 }  // namespace

@@ -132,7 +132,6 @@ TEST(SvcSoak, SustainedStreamHasExactAccountingAndBoundedMemory) {
   // say no.
   EXPECT_EQ(stats.by_reason[static_cast<std::size_t>(svc::Reason::kMalformed)], 0u);
   EXPECT_EQ(stats.by_reason[static_cast<std::size_t>(svc::Reason::kOutOfOrder)], 0u);
-  EXPECT_EQ(stats.by_reason[static_cast<std::size_t>(svc::Reason::kCrossShard)], 0u);
   EXPECT_EQ(stats.by_reason[static_cast<std::size_t>(svc::Reason::kQueueFull)], 0u);
   EXPECT_GT(stats.accepted, submitted / 2);  // the load is mostly feasible
 

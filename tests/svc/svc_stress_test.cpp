@@ -184,7 +184,6 @@ TEST(SvcStress, CrossPodReserveCommitStorm) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.submitted, kProducers * kPerProducer);
   EXPECT_EQ(stats.responses, stats.submitted);
-  EXPECT_EQ(stats.by_reason[static_cast<std::size_t>(Reason::kCrossShard)], 0u);
   const auto responses = service.take_responses();
   EXPECT_EQ(responses.size(), stats.submitted);
   for (const svc::TaskResponse& r : responses) {

@@ -1,7 +1,6 @@
 // Recorder-purity pins: attaching a sim::TimelineRecorder must leave every
 // observable result bit-identical to the recorder-less run —
-//   * FluidSimulator runs (flow outcomes, slices, occupancy, counters),
-//     under both full and incremental replanning;
+//   * FluidSimulator runs (flow outcomes, slices, occupancy, counters);
 //   * sweep CSVs, with and without --timeline-dir artifact capture;
 //   * svc::Shard request streams (responses + fingerprint), including across
 //     a registry compaction;
@@ -67,31 +66,27 @@ void build_workload(net::Network& net, const test::Dumbbell& d) {
 }
 
 TEST(TimelineIdentity, SimulatorRunBitIdenticalWithRecorderAttached) {
-  for (const bool incremental : {false, true}) {
-    auto run_once = [incremental](bool with_recorder) {
-      auto d = make_dumbbell(4);
-      net::Network net(*d.topology);
-      build_workload(net, d);
-      core::TapsConfig cfg;
-      cfg.incremental_replan = incremental;
-      cfg.preempt_policy = core::PreemptPolicy::kSchedulable;
-      cfg.trim_interval = 2;
-      core::TapsScheduler sched(cfg);
-      TimelineRecorder rec(TimelineConfig{.record_transmissions = true});
-      if (with_recorder) sched.set_schedule_observer(&rec);
-      FluidSimulator simulator(net, sched);
-      if (with_recorder) simulator.set_observer(&rec);
-      (void)simulator.run();
-      if (with_recorder) {
-        EXPECT_GT(rec.events().size(), 6u);
-      }
-      return run_fingerprint(net, sched);
-    };
-    const std::string without = run_once(false);
-    const std::string with = run_once(true);
-    EXPECT_EQ(without, with) << "recorder perturbed the schedule (incremental="
-                             << incremental << ")";
-  }
+  auto run_once = [](bool with_recorder) {
+    auto d = make_dumbbell(4);
+    net::Network net(*d.topology);
+    build_workload(net, d);
+    core::TapsConfig cfg;
+    cfg.preempt_policy = core::PreemptPolicy::kSchedulable;
+    cfg.trim_interval = 2;
+    core::TapsScheduler sched(cfg);
+    TimelineRecorder rec(TimelineConfig{.record_transmissions = true});
+    if (with_recorder) sched.set_schedule_observer(&rec);
+    FluidSimulator simulator(net, sched);
+    if (with_recorder) simulator.set_observer(&rec);
+    (void)simulator.run();
+    if (with_recorder) {
+      EXPECT_GT(rec.events().size(), 6u);
+    }
+    return run_fingerprint(net, sched);
+  };
+  const std::string without = run_once(false);
+  const std::string with = run_once(true);
+  EXPECT_EQ(without, with) << "recorder perturbed the schedule";
 }
 
 TEST(TimelineIdentity, SweepCsvByteIdenticalWithTimelineCapture) {

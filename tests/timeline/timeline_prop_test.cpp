@@ -8,8 +8,7 @@
 //   * completions are consistent with the granted slices: the executed
 //     portions of a completed flow's grants sum to its size (unit capacity)
 //     and the completion instant is the end of its last executed slice;
-//   * event counts agree with TapsCounters (grants == slice_grants, ...);
-//   * the stream is bit-identical under full and incremental replanning.
+//   * event counts agree with TapsCounters (grants == slice_grants, ...).
 //
 // The replay logic mirrors what scripts/render_gantt.py does when turning a
 // stream into Gantt rows, so these properties also pin the renderer's input
@@ -88,8 +87,7 @@ struct RecordedRun {
   std::vector<double> flow_sizes;  // by FlowId (insertion order)
 };
 
-std::unique_ptr<RecordedRun> run_scenario(const std::vector<TaskGen>& tasks,
-                                          bool incremental) {
+std::unique_ptr<RecordedRun> run_scenario(const std::vector<TaskGen>& tasks) {
   auto r = std::make_unique<RecordedRun>();
   r->d = std::make_unique<test::Dumbbell>(test::make_dumbbell(kSide));
   r->net = std::make_unique<net::Network>(*r->d->topology);
@@ -102,7 +100,6 @@ std::unique_ptr<RecordedRun> run_scenario(const std::vector<TaskGen>& tasks,
     test::add_task(*r->net, t.arrival, t.arrival + t.slack, std::move(flows));
   }
   core::TapsConfig cfg;
-  cfg.incremental_replan = incremental;
   cfg.preempt_policy = core::PreemptPolicy::kSchedulable;
   cfg.trim_interval = 4;
   r->sched = std::make_unique<core::TapsScheduler>(cfg);
@@ -295,20 +292,9 @@ std::optional<std::string> replay_and_check(const RecordedRun& run) {
 
 TAPS_PROP(TimelineProp, RecordedStreamsSatisfyScheduleSemantics, 120) {
   prop.for_all(gen_scenario, [](const std::vector<TaskGen>& tasks) {
-    const auto run = run_scenario(tasks, /*incremental=*/true);
+    const auto run = run_scenario(tasks);
     return replay_and_check(*run);
   });
-}
-
-TAPS_PROP(TimelineProp, StreamIsIdenticalUnderIncrementalAndFullReplan, 80) {
-  prop.for_all(gen_scenario,
-               [](const std::vector<TaskGen>& tasks) -> std::optional<std::string> {
-                 const auto inc = run_scenario(tasks, /*incremental=*/true);
-                 const auto full = run_scenario(tasks, /*incremental=*/false);
-                 const std::string diff = diff_timeline_text(full->rec.text(), inc->rec.text());
-                 if (diff.empty()) return std::nullopt;
-                 return "incremental timeline diverges from full-replan timeline:\n" + diff;
-               });
 }
 
 }  // namespace
