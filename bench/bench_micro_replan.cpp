@@ -4,7 +4,7 @@
 // Covered:
 //   - util::IntervalSet insert/erase and earliest-fit under heavy
 //     fragmentation (the per-link primitive of Algorithm 3);
-//   - OccupancyMap::collides and path_union(_from) over a deep map;
+//   - OccupancyMap::collides and path_union over a deep map;
 //   - the full per-arrival replan (EDF+SJF sort + plan_flows with the
 //     fused allocator and candidate cache) at 1k/10k/50k admitted flows on
 //     the scaled fat-tree;
@@ -13,9 +13,6 @@
 //   - the end-to-end arrival cascade: N tasks admitted back-to-back through
 //     a fresh scheduler, where prefix reuse keeps the per-arrival cost low
 //     (cascade/arrivals=N/...);
-//   - the hierarchical-admission cascade: a reject-heavy hotspot workload
-//     where the pod-local feasibility precheck fast-rejects provably
-//     infeasible arrivals (cascade_hier/arrivals=N/...);
 //   - exp::run_sweep thread scaling on a small scenario.
 //
 // `--quick` shrinks everything to CI-smoke scale. With `--json` the run
@@ -124,14 +121,6 @@ void bench_occupancy(BenchRunner& runner, bool quick) {
   {
     runner.run("occupancy/path_union", [&] {
       do_not_optimize(occ.path_union(path));
-    });
-  }
-  {
-    std::size_t k = 0;
-    runner.run("occupancy/path_union_from", [&] {
-      // Monotone-ish query times: the hint cache resumes instead of
-      // re-bisecting (mirrors the replan's advancing `now`).
-      do_not_optimize(occ.path_union_from(path, xs[k++ & 1023]));
     });
   }
 }
@@ -313,90 +302,6 @@ void bench_cascade(BenchRunner& runner, bool quick, std::uint64_t seed) {
   }
 }
 
-/// Reject-heavy cascade for the hierarchical pod precheck, all at t=0:
-/// ~65% background tasks (random host pairs, near-sorted deadlines over
-/// [50 ms, 4 s], 0.5-2 ms transfers — mostly admitted, so the committed set
-/// and the occupancy map grow like a loaded controller's) interleaved with
-/// ~35% doomed probes from 8 hotspot hosts whose transfer exceeds their
-/// deadline window (1.05-1.6x) — provably infeasible before any occupancy
-/// is consulted. The precheck fast-rejects such a probe for the cost of the
-/// adoption-only re-commit instead of a trial replan at its (random) EDF
-/// position over the committed tail.
-void fill_hotspot_tasks(taps::net::Network& net, const taps::topo::Topology& topo,
-                        std::size_t tasks, std::uint64_t seed) {
-  const auto& hosts = topo.hosts();
-  const auto last = static_cast<std::int64_t>(hosts.size()) - 1;
-  const double cap = net.capacity();
-  constexpr std::size_t kHotspots = 8;
-  const std::size_t stride = std::max<std::size_t>(1, hosts.size() / kHotspots);
-  const double step = 4.0 / static_cast<double>(tasks);
-  taps::util::Rng rng(seed);
-  for (std::size_t i = 0; i < tasks; ++i) {
-    taps::net::FlowSpec fs;
-    if (rng.bernoulli(0.35)) {  // hotspot probe: cannot fit even an idle link
-      const auto hot = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(kHotspots) - 1));
-      fs.src = hosts[(hot * stride) % hosts.size()];
-      do {
-        fs.dst = hosts[static_cast<std::size_t>(rng.uniform_int(0, last))];
-      } while (fs.dst == fs.src);
-      const double deadline = rng.uniform_real(0.05, 4.0);
-      fs.size = cap * deadline * rng.uniform_real(1.05, 1.6);
-      net.add_task(0.0, deadline, std::span<const taps::net::FlowSpec>(&fs, 1));
-    } else {  // background: near-sorted deadline ramp, mostly admitted
-      fs.src = hosts[static_cast<std::size_t>(rng.uniform_int(0, last))];
-      do {
-        fs.dst = hosts[static_cast<std::size_t>(rng.uniform_int(0, last))];
-      } while (fs.dst == fs.src);
-      fs.size = cap * rng.uniform_real(0.0005, 0.002);
-      const double deadline =
-          0.05 + step * static_cast<double>(i) + rng.uniform_real(0.0, 3.0 * step);
-      net.add_task(0.0, deadline, std::span<const taps::net::FlowSpec>(&fs, 1));
-    }
-  }
-}
-
-/// Hierarchical-admission cascade: the hotspot cascade through the default
-/// scheduler, whose pod-local precheck fast-rejects provably infeasible
-/// arrivals (decisions pinned bit-identical to the full-replan oracle by
-/// tests/core/taps_hierarchy_prop_test.cpp). The fast_reject_share metric
-/// records how often the fast path fired.
-void bench_cascade_hier(BenchRunner& runner, bool quick, std::uint64_t seed) {
-  const taps::topo::FatTree topo(taps::topo::FatTreeConfig::scaled());
-  const std::vector<std::size_t> scales =
-      quick ? std::vector<std::size_t>{100} : std::vector<std::size_t>{1000, 10000};
-  constexpr std::size_t kSlowSamples = 3;  // samples for multi-second ops
-
-  const auto cascade = [&](std::size_t n) {
-    taps::net::Network net(topo);
-    fill_hotspot_tasks(net, topo, n, seed + n);
-    taps::core::TapsScheduler sched;
-    sched.bind(net);
-    const double secs = time_arrivals(sched, 0, n);
-    return std::make_pair(secs, sched.counters());
-  };
-
-  for (const std::size_t n : scales) {
-    const std::string prefix = "cascade_hier/arrivals=" + std::to_string(n) + "/";
-    const bool slow = !quick && n >= 10000;
-    const std::size_t reps = slow ? kSlowSamples : runner.options().repeats;
-
-    std::vector<double> on;
-    on.reserve(reps);
-    taps::core::TapsCounters counters;
-    for (std::size_t r = 0; r < reps; ++r) {
-      auto [secs, c] = cascade(n);
-      on.push_back(secs);
-      counters = c;
-    }
-    runner.add_samples(prefix + "precheck_on", std::move(on));
-    runner.add_metric(
-        prefix + "fast_reject_share",
-        static_cast<double>(counters.pod_fast_rejects) /
-            static_cast<double>(std::max<std::size_t>(1, counters.tasks_rejected)));
-  }
-}
-
 void bench_sweep_threads(BenchRunner& runner, bool quick) {
   // Thread scaling of the sweep fan-out itself (cells are independent
   // simulations). On a 1-core host the curve is flat — that is the honest
@@ -425,8 +330,7 @@ int main(int argc, char** argv) {
   taps::util::Cli cli("bench_micro_replan",
                       "TAPS hot-path microbenchmarks: IntervalSet, OccupancyMap, "
                       "per-arrival replan at 1k/10k/50k flows, steady-state arrivals "
-                      "and arrival cascades, hierarchical pod-precheck cascade, "
-                      "sweep thread scaling");
+                      "and arrival cascades, sweep thread scaling");
   taps::bench::add_common_options(cli);
   cli.add_flag("quick", "tiny CI-smoke scale (fewer flows, smaller sets)");
   if (!cli.parse(argc, argv)) return 1;
@@ -444,7 +348,6 @@ int main(int argc, char** argv) {
   bench_replan(runner, quick, o.seed);
   bench_arrival(runner, quick, o.seed);
   bench_cascade(runner, quick, o.seed);
-  bench_cascade_hier(runner, quick, o.seed);
   bench_sweep_threads(runner, quick);
 
   for (const auto& [name, value] : runner.metrics()) {

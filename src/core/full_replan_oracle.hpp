@@ -4,10 +4,10 @@
 // FullReplanOracle is Algorithm 1 written the obvious way: every replan
 // sorts its flows EDF+SJF (sort_edf_sjf), plans them through a fresh
 // OccupancyMap (plan_flows) and applies the reject rule
-// (apply_reject_rule) — no journal, no prefix adoption, no pod precheck, no
-// rate heap. core::TapsScheduler must commit bitwise the same decisions,
-// paths, slices and occupancy (tests/core/taps_incremental_prop_test.cpp,
-// tests/core/taps_hierarchy_prop_test.cpp, tests/common/taps_equiv.hpp).
+// (apply_reject_rule) — no journal, no prefix adoption, no rate heap.
+// core::TapsScheduler must commit bitwise the same decisions, paths, slices
+// and occupancy (tests/core/taps_incremental_prop_test.cpp,
+// tests/common/taps_equiv.hpp).
 #pragma once
 
 #include <vector>

@@ -49,21 +49,6 @@ util::IntervalSet OccupancyMap::path_union(const topo::Path& path) const {
   return out;
 }
 
-util::IntervalSet OccupancyMap::path_union_from(const topo::Path& path, double from) const {
-  util::IntervalSet out;
-  for (const topo::LinkId lid : path.links) {
-    const auto& set = by_link_[static_cast<std::size_t>(lid)];
-    const std::size_t first = first_index_after(lid, from);
-    if (first == set.size()) continue;
-    util::IntervalSet suffix;
-    for (std::size_t k = first; k < set.size(); ++k) {
-      suffix.push_back_disjoint(set.intervals()[k].lo, set.intervals()[k].hi);
-    }
-    out = out.unite(suffix);
-  }
-  return out;
-}
-
 void OccupancyMap::occupy(const topo::Path& path, const util::IntervalSet& slices,
                           OccupancyJournal* journal) {
   assert(!collides(path, slices));

@@ -74,15 +74,6 @@ class OccupancyMap {
   /// its complement is the time when the whole path is idle end-to-end.
   [[nodiscard]] util::IntervalSet path_union(const topo::Path& path) const;
 
-  /// Like path_union but dropping, per link, every interval that ends at or
-  /// before `from` — exactly the part of T_ocp that can matter when
-  /// allocating from time `from`. Agrees with path_union on [from, inf) (the
-  /// property test checks this); below `from` a surviving merged interval
-  /// may start later than path_union's, because per-link intervals that end
-  /// at or before `from` are not merged in. Uses the per-link hints instead
-  /// of full scans.
-  [[nodiscard]] util::IntervalSet path_union_from(const topo::Path& path, double from) const;
-
   /// Index of the first interval of `link(id)` with hi > from, answered via
   /// the per-link hint cache (falls back to binary search on miss).
   [[nodiscard]] std::size_t first_index_after(topo::LinkId id, double from) const;

@@ -36,7 +36,6 @@ void TapsScheduler::bind(net::Network& net) {
   rate_touched_mark_.assign(net.flows().size(), 0);
   rate_touched_.clear();
   rate_fallback_ = false;
-  pod_index_.bind(net.topology().pods(), net.flows().size());
 }
 
 void TapsScheduler::migrate(net::Network& fresh, const std::vector<net::FlowId>& flow_map) {
@@ -82,11 +81,6 @@ void TapsScheduler::migrate(net::Network& fresh, const std::vector<net::FlowId>&
   rate_touched_mark_.assign(fresh.flows().size(), 0);
   rate_touched_.clear();
   for (const FlowId fid : committed_order_) touch_slices(fid);
-  // Flow ids changed wholesale: drop the pod registries and let the next
-  // commit re-register the surviving committed set (the gate stays closed —
-  // hence no fast rejects — until then, which only costs speed, never
-  // changes a decision).
-  pod_index_.bind(fresh.topology().pods(), fresh.flows().size());
 }
 
 std::vector<FlowId> TapsScheduler::unfinished_admitted() const {
@@ -162,7 +156,6 @@ void TapsScheduler::maybe_trim(double now) {
   // the map so an incremental vacate-by-slices stays exact.
   occ_.trim_before(now);
   for (auto& sl : slices_) sl.trim_before(now);
-  pod_index_.on_trim(*net_, now);
   ++counters_.occupancy_trims;
 }
 
@@ -202,31 +195,6 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
     if (f.active() && f.remaining > sim::kByteEpsilon) continue;
     const auto& sl = slices_[static_cast<std::size_t>(fid)];
     if (!sl.empty() && sl.back_end() <= now) session_retired_.push_back(fid);
-  }
-
-  // Hierarchical pod-local precheck: prove the newcomer infeasible without a
-  // trial replan when possible. Sound only while the no-transmission gate
-  // holds and the cross-arrival validity tokens are fresh.
-  if (pod_index_.enabled() && cross_arrival_valid_ && pod_index_.armed(now)) {
-    if (pod_index_.provably_infeasible(*net_, wave, now, config_.guard_band,
-                                       committed_remaining_)) {
-      // Fast reject. Under the gate every incumbent entry is adoption-
-      // eligible, so the compacting replan reproduces the committed plan
-      // verbatim (zero re-grants) — but it still commits, keeping
-      // plan_commits, the validity tokens and timeline streams bit-identical
-      // to the full cascade.
-      ++counters_.pod_fast_rejects;
-      std::vector<FlowId> order = unfinished_admitted();
-      sort_order(order, order.size());
-      reject_and_compact(id, order, now, /*session_open=*/false);
-      return;
-    }
-    ++counters_.global_fallbacks;
-    const topo::PodMap* pods = net_->topology().pods();
-    for (const FlowId fid : wave) {
-      const Flow& f = net_->flow(fid);
-      if (pods->same_pod(f.spec.src, f.spec.dst)) ++counters_.pod_local_plans;
-    }
   }
 
   // Algorithm 1's decision cascade as one journaled session over the live
@@ -282,11 +250,10 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
     case Decision::kRejectNew:
       break;
   }
-  reject_and_compact(id, trial_order, now, /*session_open=*/true);
+  reject_and_compact(id, trial_order, now);
 }
 
-void TapsScheduler::reject_and_compact(TaskId id, const std::vector<FlowId>& order, double now,
-                                       bool session_open) {
+void TapsScheduler::reject_and_compact(TaskId id, const std::vector<FlowId>& order, double now) {
   net_->reject_task(id);
   ++counters_.tasks_rejected;
   if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
@@ -299,12 +266,7 @@ void TapsScheduler::reject_and_compact(TaskId id, const std::vector<FlowId>& ord
   for (const FlowId fid : order) {
     if (net_->flow(fid).task() != id) incumbents.push_back(fid);
   }
-  if (session_open) {
-    resume_session(incumbents, now);
-  } else {
-    open_session(incumbents, now);
-    plan_tail(incumbents, now);
-  }
+  resume_session(incumbents, now);
   ++counters_.replans;
   if (session_infeasible_ == 0) {
     commit_session(now);
@@ -432,7 +394,6 @@ void TapsScheduler::commit_session(double now) {
   sched::ScheduleObserver* obs = schedule_observer();
   std::vector<sched::CommittedFlowView> view;
   if (obs != nullptr) view.reserve(session_order_.size());
-  pod_index_.begin_commit();
   for (std::size_t k = 0; k < session_order_.size(); ++k) {
     const FlowId fid = session_order_[k];
     const auto i = static_cast<std::size_t>(fid);
@@ -453,10 +414,8 @@ void TapsScheduler::commit_session(double now) {
     }
     committed_order_.push_back(fid);
     committed_remaining_[i] = f.remaining;
-    pod_index_.observe_commit_entry(*net_, f, slices_[i], counters_.budget_reservations);
     if (obs != nullptr) view.push_back({fid, f.task(), regranted, &f.path, &slices_[i]});
   }
-  pod_index_.end_commit();
   ++counters_.plan_commits;
   // occ_ already holds exactly the committed occupancy; the journal's undo
   // history is no longer needed.

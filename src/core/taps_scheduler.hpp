@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <queue>
 
-#include "core/pod_admission.hpp"
 #include "core/reject_rule.hpp"
 #include "sched/scheduler.hpp"
 
@@ -83,17 +82,8 @@ struct TapsCounters {
   /// sim::TimelineRecorder would record (docs/TIMELINE.md), counted whether
   /// or not one is attached — so sweep CSVs stay byte-identical either way.
   std::size_t slice_grants = 0;
-  /// Hierarchical admission: tasks rejected by the pod-local precheck
-  /// without touching the global planner.
+  /// Never incremented; benchmark/src/layers.cpp reads both, so they go when it does.
   std::size_t pod_fast_rejects = 0;
-  /// Wave flows that passed the precheck with both endpoints in one pod —
-  /// their candidate paths (and hence plan_one_flow's occupancy probes) are
-  /// confined to that pod's link subset.
-  std::size_t pod_local_plans = 0;
-  /// Cross-pod committed flows registered against a pod-uplink budget.
-  std::size_t budget_reservations = 0;
-  /// Arrivals that passed (or skipped) the pod-local precheck and fell
-  /// through to the global planning path while the precheck was armed.
   std::size_t global_fallbacks = 0;
 };
 
@@ -116,9 +106,6 @@ class TapsScheduler : public sched::BaseScheduler {
   [[nodiscard]] const OccupancyMap& occupancy() const { return occ_; }
   [[nodiscard]] const TapsCounters& counters() const { return counters_; }
 
-  /// Pod-admission index (hierarchical precheck state), for tests.
-  [[nodiscard]] const PodAdmissionIndex& pod_index() const { return pod_index_; }
-
   /// Move the committed scheduler state onto `fresh`, a re-registration of
   /// the current network's unfinished tasks (same flow states/remaining
   /// bitwise, same relative order). `flow_map[old_id]` gives each old flow's
@@ -140,15 +127,13 @@ class TapsScheduler : public sched::BaseScheduler {
  private:
   void admit(net::TaskId id, const std::vector<net::FlowId>& wave, double now);
 
-  /// Algorithm 1's reject tail, shared by the decision cascade and the pod
-  /// precheck's fast reject: reject `id`, then compact the surviving
+  /// Algorithm 1's reject tail: reject `id`, then compact the surviving
   /// incumbents (the flows of `order`, already in EDF+SJF order, not owned
-  /// by `id`) by resuming the open session at them, or by opening one when
-  /// `session_open` is false. Commits if every survivor stays feasible;
-  /// otherwise abandons the session and counts a revert (the prior plan,
-  /// which transmission has followed exactly, still fits every deadline).
-  void reject_and_compact(net::TaskId id, const std::vector<net::FlowId>& order, double now,
-                          bool session_open);
+  /// by `id`) by resuming the open session at them. Commits if every
+  /// survivor stays feasible; otherwise abandons the session and counts a
+  /// revert (the prior plan, which transmission has followed exactly, still
+  /// fits every deadline).
+  void reject_and_compact(net::TaskId id, const std::vector<net::FlowId>& order, double now);
 
   /// Sort `order` EDF+SJF. The first `sorted_prefix` entries are known to be
   /// in committed order (modulo remaining-size drift on deadline ties, which
@@ -224,7 +209,6 @@ class TapsScheduler : public sched::BaseScheduler {
   std::vector<net::FlowId> committed_order_;  // EDF+SJF order of the last commit
   PlanScratch plan_scratch_;               // per-flow candidate-path cache
   TapsCounters counters_;
-  PodAdmissionIndex pod_index_;            // hierarchical-admission registries
 
   // Session state (meaningful only within one arrival, except
   // committed_remaining_ / cross_arrival_valid_ which persist across

@@ -181,10 +181,6 @@ ExperimentRun run_experiment_full(const workload::Scenario& scenario, SchedulerK
     m.plan_commits = c.plan_commits;
     m.preemptions = c.tasks_preempted;
     m.slice_grants = c.slice_grants;
-    m.pod_fast_rejects = c.pod_fast_rejects;
-    m.pod_local_plans = c.pod_local_plans;
-    m.budget_reservations = c.budget_reservations;
-    m.global_fallbacks = c.global_fallbacks;
   }
   return run;
 }

@@ -49,10 +49,6 @@ metrics::RunMetrics average(const std::vector<metrics::RunMetrics>& ms) {
     avg.plan_commits += m.plan_commits;
     avg.preemptions += m.preemptions;
     avg.slice_grants += m.slice_grants;
-    avg.pod_fast_rejects += m.pod_fast_rejects;
-    avg.pod_local_plans += m.pod_local_plans;
-    avg.budget_reservations += m.budget_reservations;
-    avg.global_fallbacks += m.global_fallbacks;
     avg.sim_events += m.sim_events;
     avg.sim_flows_touched += m.sim_flows_touched;
     avg.sim_lazy_skips += m.sim_lazy_skips;
@@ -155,45 +151,37 @@ void write_sweep_csv(const std::string& path, const std::string& x_label,
   // The sim_* effort columns (and wall_seconds) trail all outcome columns:
   // they are engine-/host-dependent, so engine-equivalence comparisons can
   // strip trailing columns and compare the outcome prefix byte-for-byte.
+  // `timing` is the optional trailing wall_seconds field.
+  const auto header = [&](const auto&... timing) {
+    csv.row(x_label, "scheduler", "task_completion_ratio", "flow_completion_ratio",
+            "app_throughput", "task_size_ratio", "wasted_bandwidth_ratio", "tasks_total",
+            "tasks_completed", "flows_total", "flows_completed", "replans", "flows_planned",
+            "prefix_reuse_flows", "prefix_reuse_ratio", "plan_commits", "preemptions",
+            "slice_grants", "sim_events", "sim_flows_touched", "sim_lazy_skips",
+            "sim_heap_invalidations", "sim_rate_dirty", timing...);
+  };
   if (include_timing) {
-    csv.row(x_label, "scheduler", "task_completion_ratio", "flow_completion_ratio",
-            "app_throughput", "task_size_ratio", "wasted_bandwidth_ratio", "tasks_total",
-            "tasks_completed", "flows_total", "flows_completed", "replans", "flows_planned",
-            "prefix_reuse_flows", "prefix_reuse_ratio", "plan_commits", "preemptions",
-            "slice_grants", "pod_fast_rejects", "pod_local_plans", "budget_reservations",
-            "global_fallbacks", "sim_events", "sim_flows_touched", "sim_lazy_skips",
-            "sim_heap_invalidations", "sim_rate_dirty", "wall_seconds");
+    header("wall_seconds");
   } else {
-    csv.row(x_label, "scheduler", "task_completion_ratio", "flow_completion_ratio",
-            "app_throughput", "task_size_ratio", "wasted_bandwidth_ratio", "tasks_total",
-            "tasks_completed", "flows_total", "flows_completed", "replans", "flows_planned",
-            "prefix_reuse_flows", "prefix_reuse_ratio", "plan_commits", "preemptions",
-            "slice_grants", "pod_fast_rejects", "pod_local_plans", "budget_reservations",
-            "global_fallbacks", "sim_events", "sim_flows_touched", "sim_lazy_skips",
-            "sim_heap_invalidations", "sim_rate_dirty");
+    header();
   }
   for (std::size_t pi = 0; pi < points.size(); ++pi) {
     for (std::size_t si = 0; si < schedulers.size(); ++si) {
       const SweepCell& cell = result.cell(pi, si, schedulers.size());
       const metrics::RunMetrics& m = cell.result.metrics;
+      const auto row = [&](const auto&... timing) {
+        csv.row(cell.x, to_string(cell.scheduler), m.task_completion_ratio,
+                m.flow_completion_ratio, m.app_throughput, m.task_size_ratio,
+                m.wasted_bandwidth_ratio, m.tasks_total, m.tasks_completed, m.flows_total,
+                m.flows_completed, m.replans, m.flows_planned, m.prefix_reuse_flows,
+                m.prefix_reuse_ratio, m.plan_commits, m.preemptions, m.slice_grants,
+                m.sim_events, m.sim_flows_touched, m.sim_lazy_skips, m.sim_heap_invalidations,
+                m.sim_rate_dirty, timing...);
+      };
       if (include_timing) {
-        csv.row(cell.x, to_string(cell.scheduler), m.task_completion_ratio,
-                m.flow_completion_ratio, m.app_throughput, m.task_size_ratio,
-                m.wasted_bandwidth_ratio, m.tasks_total, m.tasks_completed, m.flows_total,
-                m.flows_completed, m.replans, m.flows_planned, m.prefix_reuse_flows,
-                m.prefix_reuse_ratio, m.plan_commits, m.preemptions, m.slice_grants,
-                m.pod_fast_rejects, m.pod_local_plans, m.budget_reservations,
-                m.global_fallbacks, m.sim_events, m.sim_flows_touched, m.sim_lazy_skips,
-                m.sim_heap_invalidations, m.sim_rate_dirty, cell.result.wall_seconds);
+        row(cell.result.wall_seconds);
       } else {
-        csv.row(cell.x, to_string(cell.scheduler), m.task_completion_ratio,
-                m.flow_completion_ratio, m.app_throughput, m.task_size_ratio,
-                m.wasted_bandwidth_ratio, m.tasks_total, m.tasks_completed, m.flows_total,
-                m.flows_completed, m.replans, m.flows_planned, m.prefix_reuse_flows,
-                m.prefix_reuse_ratio, m.plan_commits, m.preemptions, m.slice_grants,
-                m.pod_fast_rejects, m.pod_local_plans, m.budget_reservations,
-                m.global_fallbacks, m.sim_events, m.sim_flows_touched, m.sim_lazy_skips,
-                m.sim_heap_invalidations, m.sim_rate_dirty);
+        row();
       }
     }
   }

@@ -46,14 +46,6 @@ struct RunMetrics {
   std::size_t preemptions = 0;   // admitted tasks revoked to admit a newcomer
   std::size_t slice_grants = 0;  // per-flow (re)grants across all commits
 
-  // Hierarchical pod admission (docs/DESIGN.md): effort saved/spent by the
-  // pod-local precheck layer. Zero when the topology has no pod structure or
-  // the precheck is disabled.
-  std::size_t pod_fast_rejects = 0;     // arrivals rejected without a trial replan
-  std::size_t pod_local_plans = 0;      // intra-pod wave flows past the precheck
-  std::size_t budget_reservations = 0;  // cross-pod uplink anchors registered
-  std::size_t global_fallbacks = 0;     // armed prechecks that fell through to global
-
   // Simulation-engine effort, copied from sim::SimStats by the experiment
   // driver (collect() never fills them). Unlike everything above, these are
   // engine-dependent by design — sim_events is the shared event count, the

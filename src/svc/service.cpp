@@ -73,8 +73,8 @@ bool AdmissionService::reserve_cross_pod(const TaskRequest& request) {
     const int ps = pods.pod_of(f.src);
     const int pd = pods.pod_of(f.dst);
     if (ps == pd) continue;  // intra-pod flow of a spanning task
-    need[ps] += f.size / pods.pod(ps).uplink_capacity;
-    need[pd] += f.size / pods.pod(pd).uplink_capacity;
+    need[ps] += f.size / pods.uplink_capacity(ps);
+    need[pd] += f.size / pods.uplink_capacity(pd);
   }
   const double budget = config_.cross_pod_budget * window;
   for (const auto& [pod, n] : need) {

@@ -8,7 +8,7 @@ namespace taps::svc {
 
 // aggregate() sums every TapsCounters field by hand; a new counter changes
 // this size and must be added there (and to the aggregate test) first.
-static_assert(sizeof(core::TapsCounters) == 18 * sizeof(std::size_t),
+static_assert(sizeof(core::TapsCounters) == 16 * sizeof(std::size_t),
               "TapsCounters changed: update svc::aggregate()");
 
 ShardStats aggregate(const std::vector<ShardStats>& shards) {
@@ -40,8 +40,6 @@ ShardStats aggregate(const std::vector<ShardStats>& shards) {
     total.taps.plan_commits += s.taps.plan_commits;
     total.taps.slice_grants += s.taps.slice_grants;
     total.taps.pod_fast_rejects += s.taps.pod_fast_rejects;
-    total.taps.pod_local_plans += s.taps.pod_local_plans;
-    total.taps.budget_reservations += s.taps.budget_reservations;
     total.taps.global_fallbacks += s.taps.global_fallbacks;
   }
   return total;
@@ -113,10 +111,6 @@ metrics::RunMetrics to_run_metrics(const ServiceStats& service,
   m.plan_commits = total.taps.plan_commits;
   m.preemptions = total.taps.tasks_preempted;
   m.slice_grants = total.taps.slice_grants;
-  m.pod_fast_rejects = total.taps.pod_fast_rejects;
-  m.pod_local_plans = total.taps.pod_local_plans;
-  m.budget_reservations = total.taps.budget_reservations;
-  m.global_fallbacks = total.taps.global_fallbacks;
   // Queue-level rejects (malformed, overload, ...) never reach a shard, so
   // service.responses can exceed tasks_total; the reason breakdown in
   // stats_table carries that detail.

@@ -43,8 +43,8 @@ FatTree::FatTree(const FatTreeConfig& config) : k_(config.k), half_(config.k / 2
   }
   assert(hosts_.size() == static_cast<std::size_t>(k_) * half_ * half_);
 
-  // Pod metadata for hierarchical admission: cores belong to no pod; every
-  // agg/edge/host node carries its construction pod.
+  // Pod metadata for the sharded admission service: cores belong to no pod;
+  // every agg/edge/host node carries its construction pod.
   std::vector<int> pod_of_node(graph_.node_count(), kNoPod);
   for (int p = 0; p < k_; ++p) {
     for (int i = 0; i < half_; ++i) {

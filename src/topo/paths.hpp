@@ -24,8 +24,8 @@ class Topology {
   [[nodiscard]] const std::vector<NodeId>& hosts() const { return hosts_; }
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
-  /// Pod metadata for hierarchical admission, or nullptr when the topology
-  /// has no pod structure (hierarchy-aware consumers then disable themselves).
+  /// Pod metadata for the sharded admission service, or nullptr when the
+  /// topology has no pod structure.
   [[nodiscard]] virtual const PodMap* pods() const { return nullptr; }
 
   /// Candidate routing paths from host `src` to host `dst` (src != dst),

@@ -1,7 +1,7 @@
 #include "topo/pods.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace taps::topo {
 
@@ -10,42 +10,16 @@ PodMap::PodMap(const Graph& g, std::vector<int> pod_of_node, int pod_count)
   if (pod_of_node_.size() != g.node_count()) {
     throw std::invalid_argument("PodMap: pod assignment size != node count");
   }
-  pods_.resize(static_cast<std::size_t>(pod_count));
+  uplink_capacity_.assign(static_cast<std::size_t>(pod_count), 0.0);
   for (const int p : pod_of_node_) {
     if (p != kNoPod && (p < 0 || p >= pod_count)) {
       throw std::invalid_argument("PodMap: pod index out of range");
     }
   }
-
-  host_uplink_.assign(g.node_count(), kInvalidLink);
-  host_downlink_.assign(g.node_count(), kInvalidLink);
-  for (const Node& n : g.nodes()) {
-    if (n.kind != NodeKind::kHost) continue;
-    const int p = pod_of(n.id);
-    if (p != kNoPod) pods_[static_cast<std::size_t>(p)].hosts.push_back(n.id);
-    // A host with exactly one out-link has a mandatory first hop; anything
-    // else (multi-homed hosts in generic graphs) opts out of the precheck.
-    const std::vector<LinkId>& out = g.out_links(n.id);
-    if (out.size() != 1) continue;
-    const Link& up = g.link(out[0]);
-    const LinkId down = g.link_between(up.dst, n.id);
-    if (down == kInvalidLink) continue;
-    host_uplink_[static_cast<std::size_t>(n.id)] = up.id;
-    host_downlink_[static_cast<std::size_t>(n.id)] = down;
-  }
-  for (PodInfo& pod : pods_) std::sort(pod.hosts.begin(), pod.hosts.end());
-
-  link_src_pod_.resize(g.link_count());
   for (const Link& l : g.links()) {
     const int sp = pod_of(l.src);
-    const int dp = pod_of(l.dst);
-    link_src_pod_[static_cast<std::size_t>(l.id)] = sp;
-    if (sp != kNoPod && dp == kNoPod) {
-      PodInfo& pod = pods_[static_cast<std::size_t>(sp)];
-      pod.uplinks.push_back(l.id);
-      pod.uplink_capacity += l.capacity;
-    } else if (sp == kNoPod && dp != kNoPod) {
-      pods_[static_cast<std::size_t>(dp)].downlinks.push_back(l.id);
+    if (sp != kNoPod && pod_of(l.dst) == kNoPod) {
+      uplink_capacity_[static_cast<std::size_t>(sp)] += l.capacity;
     }
   }
 }

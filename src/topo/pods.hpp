@@ -1,16 +1,13 @@
 // Pod-level metadata derived from a topology at build time.
 //
 // A PodMap partitions the nodes of a hierarchical topology into pods
-// (aggregation subtrees) and records, per pod, the directed uplinks leaving
-// the pod toward the core layer, the downlinks entering it, and the summed
-// uplink capacity that serves as the pod's bandwidth budget for hierarchical
-// admission. Per-host mandatory links (the host's uplink into its ToR and the
-// ToR's downlink back to the host) are indexed because every candidate path
-// from/to that host traverses them, which makes them sound anchors for
-// conservative per-flow feasibility prechecks (src/core/pod_admission.hpp).
+// (aggregation subtrees) and records each pod's summed uplink capacity (the
+// links leaving the pod toward the core layer). The sharded admission
+// service reads both: pod_of() maps hosts to pod shards, and the uplink
+// capacity is the base of a pod's cross-pod reservation budget
+// (svc::AdmissionService, docs/CONTROLLER.md).
 //
-// Topologies without a pod structure simply return nullptr from
-// Topology::pods(); every consumer treats that as "hierarchy disabled".
+// Topologies without a pod structure return nullptr from Topology::pods().
 #pragma once
 
 #include <vector>
@@ -21,50 +18,24 @@ namespace taps::topo {
 
 inline constexpr int kNoPod = -1;
 
-struct PodInfo {
-  std::vector<LinkId> uplinks;    // pod -> core links, deterministic order
-  std::vector<LinkId> downlinks;  // core -> pod links, same order
-  std::vector<NodeId> hosts;      // hosts inside the pod, id-sorted
-  double uplink_capacity = 0.0;   // sum of uplink capacities (budget base)
-};
-
 class PodMap {
  public:
   /// Derive the map from `g` and a per-node pod assignment (kNoPod for core
   /// nodes that belong to no pod). `pod_count` must exceed every assignment.
   PodMap(const Graph& g, std::vector<int> pod_of_node, int pod_count);
 
-  [[nodiscard]] int pod_count() const { return static_cast<int>(pods_.size()); }
+  [[nodiscard]] int pod_count() const { return static_cast<int>(uplink_capacity_.size()); }
   [[nodiscard]] int pod_of(NodeId node) const {
     return pod_of_node_[static_cast<std::size_t>(node)];
   }
-  [[nodiscard]] bool same_pod(NodeId a, NodeId b) const {
-    return pod_of(a) != kNoPod && pod_of(a) == pod_of(b);
-  }
-  [[nodiscard]] const PodInfo& pod(int p) const { return pods_[static_cast<std::size_t>(p)]; }
-  [[nodiscard]] const std::vector<PodInfo>& pods() const { return pods_; }
-
-  /// The host's single uplink into its ToR (kInvalidLink for non-hosts or
-  /// hosts with several out-links, which the precheck then skips).
-  [[nodiscard]] LinkId host_uplink(NodeId host) const {
-    return host_uplink_[static_cast<std::size_t>(host)];
-  }
-  /// The ToR's downlink back to the host (kInvalidLink likewise).
-  [[nodiscard]] LinkId host_downlink(NodeId host) const {
-    return host_downlink_[static_cast<std::size_t>(host)];
-  }
-
-  /// Pod the link's source node belongs to (kNoPod when the source is core).
-  [[nodiscard]] int pod_of_link_src(LinkId link) const {
-    return link_src_pod_[static_cast<std::size_t>(link)];
+  /// Sum of the capacities of pod `p`'s links toward the core.
+  [[nodiscard]] double uplink_capacity(int p) const {
+    return uplink_capacity_[static_cast<std::size_t>(p)];
   }
 
  private:
   std::vector<int> pod_of_node_;
-  std::vector<int> link_src_pod_;
-  std::vector<LinkId> host_uplink_;
-  std::vector<LinkId> host_downlink_;
-  std::vector<PodInfo> pods_;
+  std::vector<double> uplink_capacity_;  // per pod
 };
 
 }  // namespace taps::topo

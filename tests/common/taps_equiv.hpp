@@ -1,6 +1,6 @@
 // The equivalence check shared by the TAPS property suites: one workload
-// run through core::TapsScheduler (journaled sessions, prefix adoption, pod
-// precheck, event-driven rates) and through core::FullReplanOracle (every
+// run through core::TapsScheduler (journaled sessions, prefix adoption,
+// event-driven rates) and through core::FullReplanOracle (every
 // replan from scratch) must end in BITWISE the same state — task and flow
 // states, remaining bytes, completion times, committed paths and slices,
 // per-link occupancy and the decision counters.

@@ -1,10 +1,10 @@
 // Property: the hinted OccupancyMap fast paths agree exactly with the
 // unoptimized reference scans on random mutate/query sequences.
 //
-// The replan optimization added three query shortcuts (per-link earliest-free
-// hints, path_union_from, the fused allocate_time) while keeping the plain
-// scans (path_union + IntervalSet search, and taps_oracle's
-// allocate_time_reference) as references. These properties pin the
+// The replan optimization added two query shortcuts (per-link earliest-free
+// hints and the fused allocate_time) while keeping the plain scans
+// (IntervalSet search, and taps_oracle's allocate_time_reference) as
+// references. These properties pin the
 // equivalence on random instances — including interleaved mutations, which
 // are exactly what invalidates hints.
 #include <gtest/gtest.h>
@@ -32,7 +32,6 @@ struct Op {
     kTrim,           // trim_before a random time on the whole map
     kClear,          // clear the whole map
     kQueryIndex,     // first_index_after: hinted vs IntervalSet binary search
-    kQueryUnion,     // path_union_from vs filtered path_union
     kQueryAllocate,  // fused allocate_time vs allocate_time_reference
     kQueryCollides,  // collides on a random probe set
   };
@@ -42,8 +41,8 @@ struct Op {
   double b = 0.0;
 
   friend std::ostream& operator<<(std::ostream& os, const Op& op) {
-    static const char* names[] = {"occupy",      "trim",        "clear",   "query_index",
-                                  "query_union", "query_alloc", "collides"};
+    static const char* names[] = {"occupy",      "trim",        "clear",
+                                  "query_index", "query_alloc", "collides"};
     return os << names[op.kind] << "(link=" << op.link << ", a=" << op.a << ", b=" << op.b
               << ")";
   }
@@ -65,7 +64,7 @@ std::vector<Op> generate_ops(util::Rng& rng) {
     } else if (roll == 3) {
       op.kind = Op::kClear;
     } else {
-      op.kind = static_cast<Op::Kind>(Op::kQueryIndex + (roll - 4) % 4);
+      op.kind = static_cast<Op::Kind>(Op::kQueryIndex + (roll - 4) % 3);
     }
     op.link = static_cast<int>(rng.uniform_int(0, kLinks - 1));
     op.a = rng.uniform_real(0.0, 40.0);
@@ -127,25 +126,6 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
         if (occ.first_index_after(lid, earlier) != occ.link(lid).first_index_after(earlier)) {
           return "first_index_after mismatch on backward re-query";
         }
-        break;
-      }
-
-      case Op::kQueryUnion: {
-        const topo::Path p = path_for(op);
-        const util::IntervalSet fast = occ.path_union_from(p, op.a);
-        // Contract: identical to the full union from `a` onward (below `a`
-        // the two may differ — see the path_union_from header comment).
-        util::IntervalSet window;
-        window.insert(op.a, 1e9);
-        const util::IntervalSet got = fast.intersect(window);
-        const util::IntervalSet expect = occ.path_union(p).intersect(window);
-        if (!(got == expect)) {
-          std::ostringstream os;
-          os << "path_union_from(from=" << op.a << "): " << got << " != " << expect
-             << " on [from, inf)";
-          return os.str();
-        }
-        if (!fast.check_invariants()) return "path_union_from broke canonical form";
         break;
       }
 

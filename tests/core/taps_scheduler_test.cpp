@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/fixtures.hpp"
+#include "core/full_replan_oracle.hpp"
 #include "core/optimal.hpp"
+#include "topo/fattree.hpp"
 #include "util/rng.hpp"
 
 namespace taps::core {
@@ -198,6 +200,79 @@ TEST(TapsScheduler, MatchesOptimalOnSingleLinkInstances) {
   }
   // Aggregate quality: within 20% of optimal across the batch.
   EXPECT_GE(taps_total, optimal_total * 4 / 5);
+}
+
+// Rule 2 on fat-trees: decisions where a flow cannot be planned inside its
+// window, and the exact-fit boundary that must still be admitted.
+
+TEST(TapsScheduler, RejectsTaskLongerThanItsWindow) {
+  // 3s of data in a 1s window cannot fit even on an idle network.
+  topo::FatTree topo(topo::FatTreeConfig{4, 1.0});
+  net::Network net(topo);
+  const std::vector<topo::NodeId>& hosts = topo.hosts();
+  add_task(net, 0.0, 10.0, {flow(hosts[0], hosts[1], 1.0)});
+  add_task(net, 0.0, 1.0, {flow(hosts[8], hosts[12], 3.0)});
+  TapsScheduler sched;
+  (void)test::run(net, sched);
+  EXPECT_EQ(sched.counters().tasks_rejected, 1u);
+  EXPECT_EQ(sched.counters().tasks_accepted, 1u);
+  EXPECT_EQ(net.tasks()[1].state, net::TaskState::kRejected);
+  EXPECT_EQ(test::completed_tasks(net), 1u);
+}
+
+TEST(TapsScheduler, SingleUplinkOverloadMatchesOracle) {
+  // On the k=2 fat-tree each pod has one uplink, which is also the host
+  // uplink: once the first flow owns [0,1] of it, a second task wanting 1s
+  // of transmission inside a 1.8s window cannot fit.
+  topo::FatTree topo(topo::FatTreeConfig{2, 1.0});
+  const std::vector<topo::NodeId>& hosts = topo.hosts();
+  ASSERT_EQ(hosts.size(), 2u);
+  const auto fill = [&hosts](net::Network& net) {
+    add_task(net, 0.0, 1.5, {flow(hosts[0], hosts[1], 1.0)});
+    add_task(net, 0.0, 1.8, {flow(hosts[0], hosts[1], 1.0)});
+  };
+  net::Network net(topo);
+  fill(net);
+  TapsScheduler sched;
+  (void)test::run(net, sched);
+  EXPECT_EQ(sched.counters().tasks_accepted, 1u);
+  EXPECT_EQ(sched.counters().tasks_rejected, 1u);
+
+  net::Network oracle_net(topo);
+  fill(oracle_net);
+  FullReplanOracle oracle;
+  (void)test::run(oracle_net, oracle);
+  for (std::size_t i = 0; i < net.tasks().size(); ++i) {
+    EXPECT_EQ(net.tasks()[i].state, oracle_net.tasks()[i].state) << "task " << i;
+  }
+}
+
+TEST(TapsScheduler, ExactFitOnSharedHostUplinkIsAdmitted) {
+  // The second task needs exactly the time left on the shared host uplink
+  // (1s of data, window [1,2] after the first flow's [0,1]).
+  topo::FatTree topo(topo::FatTreeConfig{4, 1.0});
+  net::Network net(topo);
+  const std::vector<topo::NodeId>& hosts = topo.hosts();
+  add_task(net, 0.0, 2.0, {flow(hosts[0], hosts[1], 1.0)});
+  add_task(net, 0.0, 2.0, {flow(hosts[0], hosts[2], 1.0)});
+  TapsScheduler sched;
+  (void)test::run(net, sched);
+  EXPECT_EQ(sched.counters().tasks_accepted, 2u);
+  EXPECT_EQ(test::completed_tasks(net), 2u);
+}
+
+TEST(FullReplanOracle, RejectsTaskLongerThanItsWindow) {
+  // RejectsTaskLongerThanItsWindow through the oracle: same decision.
+  topo::FatTree topo(topo::FatTreeConfig{4, 1.0});
+  net::Network net(topo);
+  const std::vector<topo::NodeId>& hosts = topo.hosts();
+  add_task(net, 0.0, 10.0, {flow(hosts[0], hosts[1], 1.0)});
+  add_task(net, 0.0, 1.0, {flow(hosts[8], hosts[12], 3.0)});
+  FullReplanOracle oracle;
+  (void)test::run(net, oracle);
+  EXPECT_EQ(oracle.counters().tasks_rejected, 1u);
+  EXPECT_EQ(oracle.counters().tasks_accepted, 1u);
+  EXPECT_EQ(net.tasks()[1].state, net::TaskState::kRejected);
 }
 
 }  // namespace

@@ -2,11 +2,10 @@
 // ThreadSanitizer (ctest label `tsan`): a many-producer storm of pod-spanning
 // tasks drives the service-lock budget reservation (reserve_cross_pod under
 // AdmissionService::mu_) concurrently with the dispatcher advancing shard
-// domains whose TapsScheduler commits into core::PodAdmissionIndex
-// (begin_commit / observe_commit_entry / end_commit). The index itself is
-// `taps-threading: single-domain`; what this suite pins is that the service
-// keeps it that way — every index mutation stays on the shard's domain while
-// submitters hammer the reserve side of the path.
+// domains, whose TapsScheduler commits plans into its occupancy map. The
+// scheduler is `taps-threading: single-domain`; what this suite pins is that
+// the service keeps it that way — every scheduler mutation stays on the
+// shard's domain while submitters hammer the reserve side of the path.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -57,7 +56,7 @@ TEST(SvcPodStress, SubmittingStormRacesCrossPodReserveAndCommit) {
   // All arrivals share t=0 (interleaved producers must not trip the
   // monotone-arrival check); every task spans pods, so each submit takes the
   // budget-reservation critical section while committed batches update the
-  // pod index on the global shard's domain.
+  // global shard's scheduler on its own domain.
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -91,8 +90,7 @@ TEST(SvcPodStress, SubmittingStormRacesCrossPodReserveAndCommit) {
     }
   }
   EXPECT_EQ(accepted, stats.accepted);
-  // Committed shard state (including the pod index's gate bookkeeping) must
-  // audit clean after the race.
+  // Committed shard state must audit clean after the race.
   EXPECT_EQ(service.audit(), std::nullopt);
 }
 
@@ -109,9 +107,9 @@ TEST(SvcPodStress, MixedLocalAndSpanningStormAuditsClean) {
   AdmissionService service(ft, config);
   service.start();
 
-  // Half the producers submit pod-local tasks (sharded domains, index
-  // commits per shard), half submit spanning tasks (budget reserve + global
-  // domain) — the two admission paths race each other end to end.
+  // Half the producers submit pod-local tasks (sharded domains, commits per
+  // shard), half submit spanning tasks (budget reserve + global domain) —
+  // the two admission paths race each other end to end.
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {

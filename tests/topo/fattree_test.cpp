@@ -109,5 +109,44 @@ TEST(FatTree, RandomPairsYieldValidPaths) {
   }
 }
 
+TEST(PodMap, FatTreeK4StructureAndBudgets) {
+  const FatTree ft(FatTreeConfig{4, 1.0});
+  const PodMap* pods = ft.pods();
+  ASSERT_NE(pods, nullptr);
+  EXPECT_EQ(pods->pod_count(), 4);
+  for (int p = 0; p < pods->pod_count(); ++p) {
+    // k=4: 2 aggregation switches x 2 core links each; the pod's budget base
+    // is their summed capacity.
+    EXPECT_DOUBLE_EQ(pods->uplink_capacity(p), 4.0);
+  }
+  for (const NodeId h : ft.hosts()) EXPECT_EQ(pods->pod_of(h), ft.pod_of_host(h));
+  for (int p = 0; p < 4; ++p) {
+    EXPECT_EQ(pods->pod_of(ft.agg_switch(p, 1)), p);
+    EXPECT_EQ(pods->pod_of(ft.edge_switch(p, 0)), p);
+  }
+  // Core switches belong to no pod.
+  EXPECT_EQ(pods->pod_of(ft.core_switch(0)), kNoPod);
+}
+
+TEST(PodMap, SingleUplinkPodAtMinimumArity) {
+  // k=2 is the degenerate fat-tree: one host, one edge, one agg per pod,
+  // one core — every pod has exactly one uplink.
+  const FatTree ft(FatTreeConfig{2, 1.0});
+  const PodMap* pods = ft.pods();
+  ASSERT_NE(pods, nullptr);
+  EXPECT_EQ(pods->pod_count(), 2);
+  for (int p = 0; p < pods->pod_count(); ++p) {
+    EXPECT_DOUBLE_EQ(pods->uplink_capacity(p), 1.0);
+  }
+}
+
+TEST(PodMap, RejectsBadAssignments) {
+  const FatTree ft(FatTreeConfig{2, 1.0});
+  const std::size_t nodes = ft.graph().node_count();
+  EXPECT_THROW(PodMap(ft.graph(), std::vector<int>(nodes - 1, kNoPod), 1),
+               std::invalid_argument);
+  EXPECT_THROW(PodMap(ft.graph(), std::vector<int>(nodes, 1), 1), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace taps::topo
