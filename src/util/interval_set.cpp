@@ -200,7 +200,9 @@ IntervalSet IntervalSet::allocate_earliest(double from, double duration, double 
     const double idle_hi = std::min(iv.lo, horizon);
     if (idle_hi > idle_lo) {
       const double take = std::min(need, idle_hi - idle_lo);
-      out.ivs_.push_back(Interval{idle_lo, idle_lo + take});
+      // idle_lo + take can round one ulp past idle_hi, into the busy
+      // interval; the slice ends at the gap's end at the latest.
+      out.ivs_.push_back(Interval{idle_lo, std::min(idle_lo + take, idle_hi)});
       need -= take;
       if (need <= 0.0) return out;
     }
@@ -209,7 +211,7 @@ IntervalSet IntervalSet::allocate_earliest(double from, double duration, double 
   }
   if (need > 0.0 && cursor < horizon) {
     const double take = std::min(need, horizon - cursor);
-    out.ivs_.push_back(Interval{cursor, cursor + take});
+    out.ivs_.push_back(Interval{cursor, std::min(cursor + take, horizon)});
     need -= take;
   }
   if (need > 1e-12) return IntervalSet{};  // insufficient idle time before horizon
