@@ -1,8 +1,6 @@
 #include "core/full_replan_oracle.hpp"
 
 #include <algorithm>
-#include <iterator>
-#include <span>
 
 namespace taps::core {
 
@@ -20,6 +18,48 @@ TimeAllocation allocate_time_reference(const OccupancyMap& occupancy, const topo
   out.slices = t_ocp.allocate_earliest(now, duration, horizon);
   if (!out.slices.empty()) out.completion = out.slices.back_end();
   return out;
+}
+
+FlowPlan flat_path_race(const net::Network& net, const OccupancyMap& occupancy, FlowId fid,
+                        double now, const PlanConfig& config) {
+  const Flow& f = net.flow(fid);
+  FlowPlan plan;
+  plan.flow = fid;
+  const std::vector<topo::Path> candidates = candidate_paths(net, f, config);
+  TimeAllocScratch scratch;
+  util::IntervalSet trial;
+  double best_completion = sim::kInfinity;
+  for (const topo::Path& p : candidates) {
+    double capacity = sim::kInfinity;
+    for (const topo::LinkId lid : p.links) {
+      capacity = std::min(capacity, net.link_capacity(lid));
+    }
+    const double duration = f.remaining / capacity;
+    const double horizon = f.spec.deadline - config.guard_band;
+    // The completion on any path is at least the max of its links'
+    // single-link completions (union idle is a subset of each link's idle).
+    double lower_bound = now;
+    bool hopeless = false;
+    for (const topo::LinkId lid : p.links) {
+      lower_bound = std::max(lower_bound, occupancy.single_link_completion(lid, now, duration));
+      if (lower_bound > horizon + kLbSlack || lower_bound > best_completion + kLbSlack) {
+        hopeless = true;
+        break;
+      }
+    }
+    if (hopeless) continue;
+    ++plan.paths_evaluated;
+    double completion = 0.0;
+    if (allocate_time_into(occupancy, p, now, duration, horizon, best_completion, trial,
+                           completion, &scratch)) {
+      best_completion = completion;
+      plan.path = p;
+      std::swap(plan.slices, trial);
+      plan.completion = completion;
+      plan.feasible = true;
+    }
+  }
+  return plan;
 }
 
 void FullReplanOracle::bind(net::Network& net) {
@@ -46,22 +86,14 @@ FullReplanOracle::Attempt FullReplanOracle::plan(std::vector<FlowId> order, doub
                           .ecmp_routing = config_.ecmp_routing,
                           .guard_band = config_.guard_band};
   Attempt attempt{.plans = {}, .occ = OccupancyMap(net_->graph().link_count()), .feasible = true};
-  const auto fault = std::find(order.begin(), order.end(), fault_skip_occupy_);
-  const auto split = fault == order.end() ? order.end() : fault + 1;
-  attempt.plans =
-      plan_flows(*net_, attempt.occ, std::span<const FlowId>(order.begin(), split), now, config);
-  if (fault != order.end()) {
-    // Seeded fault: erase the faulty flow's grant, then plan the rest
-    // against a map that no longer holds it.
-    const FlowPlan& faulty = attempt.plans.back();
-    if (faulty.feasible) {
-      OccupancyJournal unused;
-      attempt.occ.vacate(faulty.path, faulty.slices, unused);
-    }
-    std::vector<FlowPlan> rest = plan_flows(
-        *net_, attempt.occ, std::span<const FlowId>(split, order.end()), now, config);
-    attempt.plans.insert(attempt.plans.end(), std::make_move_iterator(rest.begin()),
-                         std::make_move_iterator(rest.end()));
+  attempt.plans.reserve(order.size());
+  for (const FlowId fid : order) {
+    FlowPlan plan = flat_path_race(*net_, attempt.occ, fid, now, config);
+    counters_.paths_evaluated += plan.paths_evaluated;
+    // Seeded fault: the faulty flow's grant never reaches the trial map, so
+    // later flows are planned against a map that does not hold it.
+    if (plan.feasible && fid != fault_skip_occupy_) attempt.occ.occupy(plan.path, plan.slices);
+    attempt.plans.push_back(std::move(plan));
   }
   ++counters_.replans;
   counters_.flows_planned += order.size();

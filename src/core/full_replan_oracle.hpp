@@ -2,12 +2,12 @@
 // equivalent; compiled into taps_oracle, never into taps_core.
 //
 // FullReplanOracle is Algorithm 1 written the obvious way: every replan
-// sorts its flows EDF+SJF (sort_edf_sjf), plans them through a fresh
-// OccupancyMap (plan_flows) and applies the reject rule
-// (apply_reject_rule) — no journal, no prefix adoption, no rate heap.
-// core::TapsScheduler must commit bitwise the same decisions, paths, slices
-// and occupancy (tests/core/taps_incremental_prop_test.cpp,
-// tests/common/taps_equiv.hpp).
+// sorts its flows EDF+SJF (sort_edf_sjf), plans them one by one through a
+// fresh OccupancyMap with its own flat Algorithm 2 (flat_path_race) and
+// applies the reject rule (apply_reject_rule) — no journal, no prefix
+// adoption, no rate heap, no candidate tree. core::TapsScheduler must
+// commit bitwise the same decisions, paths, slices and occupancy
+// (tests/core/taps_incremental_prop_test.cpp, tests/common/taps_equiv.hpp).
 #pragma once
 
 #include <vector>
@@ -21,6 +21,15 @@ namespace taps::core {
 [[nodiscard]] TimeAllocation allocate_time_reference(const OccupancyMap& occupancy,
                                                      const topo::Path& path, double now,
                                                      double duration, double horizon);
+
+/// Algorithm 2 as a flat race: every candidate in index order, each pruned
+/// by the max of its links' single-link bounds or else allocated in full
+/// (allocate_time_into) with the best completion so far as its cutoff, so
+/// only a strictly earlier completion replaces the incumbent. The reference
+/// for plan_one_flow's candidate tree, which must pick the same path,
+/// slices and completion bitwise. Does not commit.
+[[nodiscard]] FlowPlan flat_path_race(const net::Network& net, const OccupancyMap& occupancy,
+                                      net::FlowId fid, double now, const PlanConfig& config);
 
 // taps-threading: single-domain -- scheduler state advances under one simulation domain
 class FullReplanOracle : public sched::BaseScheduler {
@@ -48,7 +57,8 @@ class FullReplanOracle : public sched::BaseScheduler {
   }
   [[nodiscard]] const OccupancyMap& occupancy() const { return occ_; }
   /// Decision counters (tasks_*, replans, replan_reverts, flows_planned,
-  /// plan_commits, slice_grants, occupancy_trims); the rest stay zero.
+  /// paths_evaluated, plan_commits, slice_grants, occupancy_trims); the
+  /// rest stay zero.
   [[nodiscard]] const TapsCounters& counters() const { return counters_; }
 
  private:

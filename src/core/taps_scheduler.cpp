@@ -342,6 +342,7 @@ void TapsScheduler::plan_tail(const std::vector<FlowId>& target, double now) {
     session_marks_.push_back(OccupancyMap::checkpoint(journal_));
     FlowPlan plan = plan_one_flow(*net_, occ_, fid, now, plan_config, &plan_scratch_);
     ++counters_.flows_planned;
+    counters_.paths_evaluated += plan.paths_evaluated;
     if (plan.feasible) {
       occ_.occupy(plan.path, plan.slices, &journal_);
     } else {

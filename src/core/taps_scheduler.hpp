@@ -59,6 +59,10 @@ struct TapsCounters {
   /// (plan_one_flow calls). The planner-effort denominator for the two
   /// reuse counters below.
   std::size_t flows_planned = 0;
+  /// Candidate paths whose full union Algorithm 3 scanned (the candidate
+  /// tree's leaf scans; subtree bound scans do not count). Effort per
+  /// planned flow is paths_evaluated / flows_planned.
+  std::size_t paths_evaluated = 0;
   /// Flow positions satisfied by adopting the committed plan's still-valid
   /// leading prefix at session open instead of replanning them
   /// (cross-arrival prefix reuse).

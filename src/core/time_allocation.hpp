@@ -6,16 +6,31 @@
 // from `now`. The flow's completion time on p is the end of the last
 // allocated slice.
 //
-// allocate_time materializes T_ocp restricted to the window that can matter
-// — each link's range starts at its earliest-free hint and stops at
-// min(completion_bound, horizon) — into reused scratch buffers, then scans
-// it with a branch-and-bound abort. Its output is identical to the textbook
-// two-step (path_union, then IntervalSet::allocate_earliest), which lives in
+// The allocation itself is one scan, IdleScan: fed T_ocp's busy intervals in
+// ascending start order, it takes idle time from `now` until the demand is
+// met, the horizon is passed, or a branch-and-bound cutoff proves the
+// completion cannot beat an incumbent. Every caller shares that one copy of
+// the arithmetic:
+//
+//  - allocate_time materializes T_ocp restricted to the window that can
+//    matter — each link's range starts at its earliest-free hint and stops
+//    at min(completion_bound, horizon) — into reused scratch buffers, then
+//    scans it;
+//  - Algorithm 2's candidate tree (path_allocation.cpp) scans a shared
+//    partial union merged on the fly with a candidate's remaining link
+//    ranges (scan_streams), and scans partial unions alone for its subtree
+//    lower bounds.
+//
+// allocate_time's output is identical to the textbook two-step
+// (path_union, then IntervalSet::allocate_earliest), which lives in
 // taps_oracle as core::allocate_time_reference; the equivalence property
 // test drives both on random instances.
 #pragma once
 
+#include <algorithm>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "core/occupancy.hpp"
 
@@ -27,6 +42,88 @@ struct TimeAllocation {
   double completion = 0.0;   // end of last slice; meaningless when infeasible
 
   [[nodiscard]] bool feasible() const { return !slices.empty(); }
+};
+
+/// Algorithm 3's scan. Feed busy intervals in ascending `lo` order; they
+/// may overlap or touch (the cursor coalesces them exactly as a
+/// materialized union would), so raw per-link ranges can be merged into the
+/// scan without building their union first. The scan takes the earliest
+/// idle time from `now` until `duration` seconds are allocated, and decides
+/// infeasible when the idle time before `horizon` falls short or — the
+/// branch-and-bound cutoff — as soon as the completion provably cannot be
+/// < `bound` (the remaining demand lands at or after the cursor, so
+/// completion >= cursor + need). A feasible result always has
+/// completion < bound. `slices` may be null when only the completion is
+/// wanted (a lower-bound scan).
+// taps-threading: thread-compatible -- a stack value owned by one scan.
+class IdleScan {
+ public:
+  IdleScan(double now, double duration, double horizon, double bound, util::IntervalSet* slices)
+      : cursor_(now), need_(duration), horizon_(horizon), bound_(bound), slices_(slices) {}
+
+  /// Consume the next busy interval. Returns false once the outcome no
+  /// longer depends on later intervals; call finish() then (or after the
+  /// last interval).
+  bool feed(const util::Interval& busy) {
+    if (cursor_ + need_ >= bound_) {
+      state_ = State::kAborted;
+      return false;
+    }
+    const double idle_hi = std::min(busy.lo, horizon_);
+    if (idle_hi > cursor_) {
+      take(idle_hi);
+      if (need_ <= 0.0) {
+        state_ = State::kDone;
+        return false;
+      }
+    }
+    cursor_ = std::max(cursor_, busy.hi);
+    return cursor_ < horizon_;
+  }
+
+  /// The decision: true with `completion` set when feasible (the slices, if
+  /// recorded, are then the allocation); false otherwise, with the recorded
+  /// slices cleared.
+  bool finish(double& completion) {
+    if (state_ == State::kOpen) {
+      if (cursor_ + need_ >= bound_) {
+        state_ = State::kAborted;
+      } else {
+        if (cursor_ < horizon_) take(horizon_);
+        // Insufficient idle time before the horizon (up to rounding).
+        state_ = need_ > 1e-12 || !took_ ? State::kAborted : State::kDone;
+      }
+    }
+    if (state_ == State::kAborted) {
+      if (slices_ != nullptr) slices_->clear();
+      return false;
+    }
+    completion = end_;
+    return true;
+  }
+
+ private:
+  enum class State : unsigned char { kOpen, kDone, kAborted };
+
+  /// Fill the idle gap [cursor, gap_end). cursor + take can round one ulp
+  /// past gap_end, into the next busy interval: the slice ends at gap_end at
+  /// the latest.
+  void take(double gap_end) {
+    const double take = std::min(need_, gap_end - cursor_);
+    end_ = std::min(cursor_ + take, gap_end);
+    if (slices_ != nullptr) slices_->push_back_disjoint(cursor_, end_);
+    need_ -= take;
+    took_ = true;
+  }
+
+  double cursor_;
+  double need_;
+  double horizon_;
+  double bound_;
+  util::IntervalSet* slices_;
+  double end_ = 0.0;
+  bool took_ = false;
+  State state_ = State::kOpen;
 };
 
 /// Caller-owned reusable buffers for allocate_time_into (the restricted
@@ -42,30 +139,46 @@ struct TimeAllocScratch {
     const util::Interval* last = nullptr;
 
     [[nodiscard]] std::size_t size() const { return static_cast<std::size_t>(last - first); }
+    [[nodiscard]] bool empty() const { return first == last; }
   };
 
   std::vector<Range> ranges;
   std::vector<util::Interval> bufs[2];
 };
 
+/// Link `lid`'s occupancy restricted to what a scan from `now` stopping at
+/// `stop` can read: from the first interval with hi > now up to (excluding)
+/// the first with lo >= stop.
+[[nodiscard]] TimeAllocScratch::Range restricted_range(const OccupancyMap& occupancy,
+                                                       topo::LinkId lid, double now, double stop);
+
+/// Union of `ranges` into `out` (smallest first, IntervalSet::unite's exact
+/// coalescing), using `tmp` as the second merge buffer. Reorders `ranges`.
+void unite_ranges(std::vector<TimeAllocScratch::Range>& ranges, std::vector<util::Interval>& out,
+                  std::vector<util::Interval>& tmp);
+
+/// Run `scan` over the k-way merge of `streams` (each sorted and internally
+/// disjoint, e.g. a union and raw link ranges), ignoring intervals with
+/// lo >= `stop` exactly as restricted_range would, and return its decision.
+/// Never materializes the union; stops at completion or abort. Consumes
+/// `streams`.
+[[nodiscard]] bool scan_streams(std::span<TimeAllocScratch::Range> streams, double stop,
+                                IdleScan& scan, double& completion);
+
 /// Allocate `duration` seconds on `path` starting at `now`, finishing no
 /// later than `horizon` (the flow's deadline). Returns an infeasible result
 /// when the path lacks enough idle time before the horizon.
 ///
-/// `completion_bound` is a branch-and-bound cutoff for candidate-path races
-/// (Algorithm 2 keeps only strictly-earlier completions): the scan aborts —
-/// returning infeasible — as soon as the completion provably cannot be
-/// < `completion_bound` (the remaining demand must land at or after the
-/// sweep cursor, so completion >= cursor + remaining). A returned feasible
-/// allocation is always the true earliest one and has
-/// completion < completion_bound.
+/// `completion_bound` is IdleScan's branch-and-bound cutoff for
+/// candidate-path races (Algorithm 2 keeps only strictly-earlier
+/// completions). A returned feasible allocation is always the true earliest
+/// one and has completion < completion_bound.
 [[nodiscard]] TimeAllocation allocate_time(
     const OccupancyMap& occupancy, const topo::Path& path, double now, double duration,
     double horizon, double completion_bound = std::numeric_limits<double>::infinity());
 
 /// Allocation core writing into a caller-owned `slices` set (cleared first,
-/// so its capacity is reused across calls — the candidate-path race calls
-/// this 16x per flow and discards most results). Returns feasibility;
+/// so its capacity is reused across calls). Returns feasibility;
 /// `completion` is set only when feasible, and `slices` is left empty on
 /// infeasibility/abort. Same semantics as allocate_time otherwise.
 /// `scratch` (optional) reuses the merge buffers across calls; passing none

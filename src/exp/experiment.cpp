@@ -173,6 +173,7 @@ ExperimentRun run_experiment_full(const workload::Scenario& scenario, SchedulerK
     metrics::RunMetrics& m = run.result.metrics;
     m.replans = c.replans;
     m.flows_planned = c.flows_planned;
+    m.paths_evaluated = c.paths_evaluated;
     m.prefix_reuse_flows = c.cross_arrival_reuse_flows + c.checkpoint_reuse_flows;
     const double denom =
         static_cast<double>(m.prefix_reuse_flows) + static_cast<double>(m.flows_planned);

@@ -44,6 +44,7 @@ metrics::RunMetrics average(const std::vector<metrics::RunMetrics>& ms) {
     avg.wasted_bytes += m.wasted_bytes;
     avg.replans += m.replans;
     avg.flows_planned += m.flows_planned;
+    avg.paths_evaluated += m.paths_evaluated;
     avg.prefix_reuse_flows += m.prefix_reuse_flows;
     avg.prefix_reuse_ratio += m.prefix_reuse_ratio;
     avg.plan_commits += m.plan_commits;
@@ -156,8 +157,8 @@ void write_sweep_csv(const std::string& path, const std::string& x_label,
     csv.row(x_label, "scheduler", "task_completion_ratio", "flow_completion_ratio",
             "app_throughput", "task_size_ratio", "wasted_bandwidth_ratio", "tasks_total",
             "tasks_completed", "flows_total", "flows_completed", "replans", "flows_planned",
-            "prefix_reuse_flows", "prefix_reuse_ratio", "plan_commits", "preemptions",
-            "slice_grants", "sim_events", "sim_flows_touched", "sim_lazy_skips",
+            "paths_evaluated", "prefix_reuse_flows", "prefix_reuse_ratio", "plan_commits",
+            "preemptions", "slice_grants", "sim_events", "sim_flows_touched", "sim_lazy_skips",
             "sim_heap_invalidations", "sim_rate_dirty", timing...);
   };
   if (include_timing) {
@@ -173,10 +174,10 @@ void write_sweep_csv(const std::string& path, const std::string& x_label,
         csv.row(cell.x, to_string(cell.scheduler), m.task_completion_ratio,
                 m.flow_completion_ratio, m.app_throughput, m.task_size_ratio,
                 m.wasted_bandwidth_ratio, m.tasks_total, m.tasks_completed, m.flows_total,
-                m.flows_completed, m.replans, m.flows_planned, m.prefix_reuse_flows,
-                m.prefix_reuse_ratio, m.plan_commits, m.preemptions, m.slice_grants,
-                m.sim_events, m.sim_flows_touched, m.sim_lazy_skips, m.sim_heap_invalidations,
-                m.sim_rate_dirty, timing...);
+                m.flows_completed, m.replans, m.flows_planned, m.paths_evaluated,
+                m.prefix_reuse_flows, m.prefix_reuse_ratio, m.plan_commits, m.preemptions,
+                m.slice_grants, m.sim_events, m.sim_flows_touched, m.sim_lazy_skips,
+                m.sim_heap_invalidations, m.sim_rate_dirty, timing...);
       };
       if (include_timing) {
         row(cell.result.wall_seconds);

@@ -35,6 +35,7 @@ struct RunMetrics {
   // zero for schedulers without a global replan; collect() never fills them).
   std::size_t replans = 0;
   std::size_t flows_planned = 0;      // plan_one_flow calls actually paid for
+  std::size_t paths_evaluated = 0;    // candidate unions Algorithm 3 scanned in full
   std::size_t prefix_reuse_flows = 0; // cross-arrival adoptions + checkpoint resumes
   double prefix_reuse_ratio = 0.0;    // reused / (reused + planned)
 

@@ -8,7 +8,7 @@ namespace taps::svc {
 
 // aggregate() sums every TapsCounters field by hand; a new counter changes
 // this size and must be added there (and to the aggregate test) first.
-static_assert(sizeof(core::TapsCounters) == 16 * sizeof(std::size_t),
+static_assert(sizeof(core::TapsCounters) == 17 * sizeof(std::size_t),
               "TapsCounters changed: update svc::aggregate()");
 
 ShardStats aggregate(const std::vector<ShardStats>& shards) {
@@ -33,6 +33,7 @@ ShardStats aggregate(const std::vector<ShardStats>& shards) {
     total.taps.incremental_sorts += s.taps.incremental_sorts;
     total.taps.full_sorts += s.taps.full_sorts;
     total.taps.flows_planned += s.taps.flows_planned;
+    total.taps.paths_evaluated += s.taps.paths_evaluated;
     total.taps.cross_arrival_reuse_flows += s.taps.cross_arrival_reuse_flows;
     total.taps.checkpoint_reuse_flows += s.taps.checkpoint_reuse_flows;
     total.taps.session_restarts += s.taps.session_restarts;
@@ -85,6 +86,7 @@ metrics::Table stats_table(const ServiceStats& service, const std::vector<ShardS
   }
   table.row("taps/replans", total.taps.replans);
   table.row("taps/flows_planned", total.taps.flows_planned);
+  table.row("taps/paths_evaluated", total.taps.paths_evaluated);
   table.row("taps/prefix_reuse_flows",
             total.taps.cross_arrival_reuse_flows + total.taps.checkpoint_reuse_flows);
   table.row("taps/occupancy_trims", total.taps.occupancy_trims);
@@ -105,6 +107,7 @@ metrics::RunMetrics to_run_metrics(const ServiceStats& service,
   m.flows_completed = total.completed;
   m.replans = total.taps.replans;
   m.flows_planned = total.taps.flows_planned;
+  m.paths_evaluated = total.taps.paths_evaluated;
   m.prefix_reuse_flows = total.taps.cross_arrival_reuse_flows + total.taps.checkpoint_reuse_flows;
   const double denom = static_cast<double>(m.prefix_reuse_flows + m.flows_planned);
   m.prefix_reuse_ratio = denom == 0.0 ? 0.0 : static_cast<double>(m.prefix_reuse_flows) / denom;
