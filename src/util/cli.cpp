@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -90,22 +92,35 @@ std::string Cli::str(const std::string& name) const {
   return o->value;
 }
 
+namespace {
+
+/// Parse all of `v` as a T (no leading space or sign, no trailing text),
+/// or return false.
+template <typename T>
+bool parse_whole(const std::string& v, T& out) {
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  return !v.empty() && ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
+
 double Cli::num(const std::string& name) const {
   const std::string v = str(name);
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
+  double out = 0.0;
+  if (!parse_whole(v, out) || !std::isfinite(out)) {
     throw std::runtime_error("option --" + name + " expects a number, got '" + v + "'");
   }
+  return out;
 }
 
 std::int64_t Cli::integer(const std::string& name) const {
   const std::string v = str(name);
-  try {
-    return std::stoll(v);
-  } catch (const std::exception&) {
+  std::int64_t out = 0;
+  if (!parse_whole(v, out)) {
     throw std::runtime_error("option --" + name + " expects an integer, got '" + v + "'");
   }
+  return out;
 }
 
 std::string Cli::help_text() const {

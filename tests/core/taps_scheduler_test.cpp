@@ -170,6 +170,52 @@ TEST(TapsScheduler, CountersTrackDecisions) {
   EXPECT_GE(sched.counters().replans, 2u);
 }
 
+TEST(TapsScheduler, CandidateTreeScansFewerThanEveryCandidate) {
+  // A loaded k=8 fat-tree: 40 coflows of 8 inter-pod flows out of pod 0's
+  // eight hosts, all at t=0, so host and aggregation links fill up and
+  // every flow has 16 candidates. The flat race would scan up to 16 full
+  // unions per planned flow; the candidate tree's subtree bounds prune
+  // whole aggregation groups.
+  const topo::FatTree ft(topo::FatTreeConfig{8, 1.0});
+  net::Network net(ft);
+  net::Network oracle_net(ft);
+  util::Rng rng(11);
+  for (int t = 0; t < 40; ++t) {
+    std::vector<net::FlowSpec> flows;
+    for (int f = 0; f < 8; ++f) {
+      const topo::NodeId src = ft.host(0, static_cast<int>(rng.uniform_int(0, 3)),
+                                       static_cast<int>(rng.uniform_int(0, 3)));
+      const topo::NodeId dst = ft.host(static_cast<int>(rng.uniform_int(1, 7)),
+                                       static_cast<int>(rng.uniform_int(0, 3)),
+                                       static_cast<int>(rng.uniform_int(0, 3)));
+      flows.push_back(flow(src, dst, rng.uniform_real(0.05, 0.5)));
+    }
+    const double deadline = rng.uniform_real(2.0, 6.0);
+    add_task(oracle_net, 0.0, deadline, flows);
+    add_task(net, 0.0, deadline, std::move(flows));
+  }
+  TapsScheduler sched;
+  FullReplanOracle oracle;
+  sched.bind(net);
+  oracle.bind(oracle_net);
+  for (std::size_t t = 0; t < net.tasks().size(); ++t) {
+    sched.on_task_arrival(static_cast<net::TaskId>(t), 0.0);
+    oracle.on_task_arrival(static_cast<net::TaskId>(t), 0.0);
+  }
+  const TapsCounters& c = sched.counters();
+  EXPECT_GT(c.tasks_accepted, 0u);
+  EXPECT_GT(c.tasks_rejected, 0u);  // loaded: some coflows do not fit
+  ASSERT_GT(c.flows_planned, 0u);
+  EXPECT_GT(c.paths_evaluated, 0u);
+  EXPECT_LT(c.paths_evaluated, 16 * c.flows_planned);
+  // Per planned flow, fewer full scans than the oracle's flat race makes on
+  // the same instance (same decisions, different replanned sets).
+  const TapsCounters& flat = oracle.counters();
+  EXPECT_EQ(flat.tasks_accepted, c.tasks_accepted);
+  EXPECT_LT(static_cast<double>(c.paths_evaluated) / static_cast<double>(c.flows_planned),
+            static_cast<double>(flat.paths_evaluated) / static_cast<double>(flat.flows_planned));
+}
+
 TEST(TapsScheduler, MatchesOptimalOnSingleLinkInstances) {
   // TAPS vs the exact solver on random single-bottleneck instances: the
   // heuristic must accept a feasible set (every admitted task completes) and

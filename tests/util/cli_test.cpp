@@ -85,6 +85,42 @@ TEST(Cli, BadNumberThrows) {
   EXPECT_THROW((void)cli.num("name"), std::runtime_error);
 }
 
+TEST(Cli, MalformedNumbersThrowNamingTheOption) {
+  for (const char* bad : {"1.0x", "nan", "inf", "-inf", "1e999", ""}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", "--name", bad};
+    ASSERT_TRUE(cli.parse(3, argv));
+    try {
+      (void)cli.num("name");
+      ADD_FAILURE() << "num() accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--name"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Cli, MalformedIntegersThrowNamingTheOption) {
+  for (const char* bad : {"12abc", "1.5", "", "99999999999999999999"}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", "--seed", bad};
+    ASSERT_TRUE(cli.parse(3, argv));
+    try {
+      (void)cli.integer("seed");
+      ADD_FAILURE() << "integer() accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Cli, WholeNumbersStillParse) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--seed", "-7", "--name", "1e-3"};
+  ASSERT_TRUE(cli.parse(5, argv));
+  EXPECT_EQ(cli.integer("seed"), -7);
+  EXPECT_EQ(cli.num("name"), 1e-3);
+}
+
 TEST(Cli, HelpTextListsOptions) {
   const Cli cli = make_cli();
   const std::string h = cli.help_text();
