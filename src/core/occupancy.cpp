@@ -110,9 +110,11 @@ bool OccupancyMap::collides(const topo::Path& path, const util::IntervalSet& sli
 }
 
 void OccupancyMap::trim_before(double t) {
-  for (auto& set : by_link_) set.trim_before(t);
-  for (auto& h : hints_) h.valid = false;
-  for (auto& p : prefix_) p.valid = false;
+  for (std::size_t i = 0; i < by_link_.size(); ++i) {
+    if (!by_link_[i].trim_before(t)) continue;
+    hints_[i].valid = false;
+    prefix_[i].valid = false;
+  }
 }
 
 double OccupancyMap::single_link_completion(topo::LinkId id, double from, double need) const {

@@ -118,6 +118,7 @@ class OccupancyMap {
   [[nodiscard]] bool collides(const topo::Path& path, const util::IntervalSet& slices) const;
 
   /// Drop occupancy before `t` on all links (bounded memory on long runs).
+  /// Only links that held something before `t` change or lose their caches.
   void trim_before(double t);
 
  private:

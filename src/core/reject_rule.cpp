@@ -18,10 +18,11 @@ namespace {
 
 /// Fraction of `task`'s flows that are completed or trial-feasible.
 double schedulable_ratio(const net::Network& net, net::TaskId task,
-                         std::span<const FlowPlan> trial) {
+                         std::span<const FlowPlan> trial,
+                         const std::function<std::size_t(net::TaskId)>& adopted) {
   const net::Task& t = net.task(task);
   if (t.spec.flows.empty()) return 0.0;
-  std::size_t good = t.completed_flows;
+  std::size_t good = t.completed_flows + (adopted ? adopted(task) : 0);
   for (const FlowPlan& plan : trial) {
     if (plan.feasible && net.flow(plan.flow).task() == task) ++good;
   }
@@ -31,7 +32,8 @@ double schedulable_ratio(const net::Network& net, net::TaskId task,
 }  // namespace
 
 RejectOutcome apply_reject_rule(const net::Network& net, net::TaskId new_task,
-                                std::span<const FlowPlan> trial, PreemptPolicy policy) {
+                                std::span<const FlowPlan> trial, PreemptPolicy policy,
+                                const std::function<std::size_t(net::TaskId)>& adopted) {
   net::TaskId missing_task = net::kInvalidTask;
   bool multiple_missing_tasks = false;
   bool new_task_missing = false;
@@ -62,8 +64,8 @@ RejectOutcome apply_reject_rule(const net::Network& net, net::TaskId new_task,
       new_ratio = net.task(new_task).completion_ratio();
       break;
     case PreemptPolicy::kSchedulable:
-      victim_ratio = schedulable_ratio(net, missing_task, trial);
-      new_ratio = schedulable_ratio(net, new_task, trial);
+      victim_ratio = schedulable_ratio(net, missing_task, trial, adopted);
+      new_ratio = schedulable_ratio(net, new_task, trial, adopted);
       break;
   }
   if (victim_ratio < new_ratio) return {Decision::kPreemptVictim, missing_task};

@@ -11,6 +11,8 @@
 //     new task's) and accept the new task.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <span>
 
 #include "core/path_allocation.hpp"
@@ -40,8 +42,13 @@ struct RejectOutcome {
 
 [[nodiscard]] const char* to_string(Decision d);
 
-[[nodiscard]] RejectOutcome apply_reject_rule(const net::Network& net, net::TaskId new_task,
-                                              std::span<const FlowPlan> trial,
-                                              PreemptPolicy policy = PreemptPolicy::kProgress);
+/// Apply the rule to `trial`. A caller that planned only part of the trial
+/// passes that part and `adopted`: the number of a task's flows in the rest,
+/// all of which must be feasible. Only kSchedulable reads it; the outcome is
+/// then the one the whole trial would give.
+[[nodiscard]] RejectOutcome apply_reject_rule(
+    const net::Network& net, net::TaskId new_task, std::span<const FlowPlan> trial,
+    PreemptPolicy policy = PreemptPolicy::kProgress,
+    const std::function<std::size_t(net::TaskId)>& adopted = {});
 
 }  // namespace taps::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <limits>
 
 #include "sched/schedule_observer.hpp"
 #include "util/logging.hpp"
@@ -14,22 +16,51 @@ using net::FlowState;
 using net::TaskId;
 using net::TaskState;
 
+namespace {
+
+/// Algorithm 1's replan order: EDF, then SJF on remaining bytes, then flow
+/// id. A strict total order, so every route to a sorted order (a full sort,
+/// or a sorted tail merged into a sorted prefix) yields the same one.
+// taps-threading: thread-compatible
+struct EdfSjf {
+  const net::Network* net;
+  bool operator()(FlowId a, FlowId b) const {
+    const Flow& fa = net->flow(a);
+    const Flow& fb = net->flow(b);
+    if (fa.spec.deadline != fb.spec.deadline) return fa.spec.deadline < fb.spec.deadline;
+    if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
+    return a < b;
+  }
+};
+
+/// A flow Algorithm 1 still has to plan (F_trans).
+bool unfinished(const Flow& f) { return f.active() && f.remaining > sim::kByteEpsilon; }
+
+}  // namespace
+
 void TapsScheduler::bind(net::Network& net) {
   BaseScheduler::bind(net);
   occ_ = OccupancyMap(net.graph().link_count());
   slices_.assign(net.flows().size(), util::IntervalSet{});
   committed_order_.clear();
+  committed_min_start_.clear();
+  committed_pos_.assign(net.flows().size(), kNoPosition);
+  adopt_limit_ = 0;
   plan_scratch_.clear();
   counters_ = TapsCounters{};
   journal_.clear();
+  session_adopted_ = 0;
+  trial_base_ = 0;
+  trial_.clear();
+  target_.clear();
   session_order_.clear();
   session_plans_.clear();
   session_marks_.clear();
   session_retired_.clear();
-  session_adopted_ = 0;
   session_infeasible_ = 0;
+  regranted_.clear();
+  preempted_ = net::kInvalidTask;
   committed_remaining_.assign(net.flows().size(), 0.0);
-  cross_arrival_valid_ = false;
   arrivals_since_trim_ = 0;
   rate_heap_ = RateHeap();
   slice_gen_.assign(net.flows().size(), 0);
@@ -56,24 +87,45 @@ void TapsScheduler::migrate(net::Network& fresh, const std::vector<net::FlowId>&
   }
   slices_ = std::move(slices);
   committed_remaining_ = std::move(remaining);
+  // Kept entries keep their prefix minimum, dropped entries' starts
+  // included, and the adoption limit keeps its place among them: the
+  // watermark falls at the same kept flow as it would have without the
+  // migration (dropped flows are finished, so none sits before it).
   std::vector<FlowId> order;
+  std::vector<double> min_start;
   order.reserve(committed_order_.size());
-  for (const FlowId fid : committed_order_) {
-    const FlowId nid = flow_map[static_cast<std::size_t>(fid)];
-    if (nid != net::kInvalidFlow) order.push_back(nid);
+  min_start.reserve(committed_order_.size());
+  std::size_t limit = 0;
+  for (std::size_t k = 0; k < committed_order_.size(); ++k) {
+    const FlowId nid = flow_map[static_cast<std::size_t>(committed_order_[k])];
+    if (nid == net::kInvalidFlow) continue;
+    if (k < adopt_limit_) ++limit;
+    order.push_back(nid);
+    min_start.push_back(committed_min_start_[k]);
   }
   committed_order_ = std::move(order);
+  committed_min_start_ = std::move(min_start);
+  adopt_limit_ = limit;
+  committed_pos_.assign(fresh.flows().size(), kNoPosition);
+  for (std::size_t k = 0; k < committed_order_.size(); ++k) {
+    committed_pos_[static_cast<std::size_t>(committed_order_[k])] = static_cast<std::uint32_t>(k);
+  }
   // Dropped committed entries were finished: their future-facing occupancy
   // is empty (completed flows transmitted exactly their slices; preempted
   // flows were vacated at preemption), so the committed map still matches
   // the surviving plan on [now, inf) and occ_ carries over untouched.
   plan_scratch_.clear();
+  session_adopted_ = 0;
+  trial_base_ = 0;
+  trial_.clear();
+  target_.clear();
   session_order_.clear();
   session_plans_.clear();
   session_marks_.clear();
   session_retired_.clear();
-  session_adopted_ = 0;
   session_infeasible_ = 0;
+  regranted_.clear();
+  preempted_ = net::kInvalidTask;
   // Flow ids changed wholesale: rebuild the event-driven rate state from the
   // surviving committed plan (rate_fallback_ deliberately carries over).
   rate_heap_ = RateHeap();
@@ -81,54 +133,6 @@ void TapsScheduler::migrate(net::Network& fresh, const std::vector<net::FlowId>&
   rate_touched_mark_.assign(fresh.flows().size(), 0);
   rate_touched_.clear();
   for (const FlowId fid : committed_order_) touch_slices(fid);
-}
-
-std::vector<FlowId> TapsScheduler::unfinished_admitted() const {
-  // committed_order_ holds every flow of the last committed plan — a
-  // superset of the currently active unfinished flows, because admission
-  // always commits a plan covering all of them — already in EDF+SJF order.
-  std::vector<FlowId> out;
-  out.reserve(committed_order_.size());
-  for (const FlowId fid : committed_order_) {
-    const Flow& f = net_->flow(fid);
-    if (f.active() && f.remaining > sim::kByteEpsilon) out.push_back(fid);
-  }
-#ifndef NDEBUG
-  // The filtered committed order must be exactly the old active_-scan set.
-  std::vector<FlowId> check;
-  check.reserve(active_.size());
-  for (const FlowId fid : active_) {
-    const Flow& f = net_->flow(fid);
-    if (!f.finished() && f.remaining > sim::kByteEpsilon) check.push_back(fid);
-  }
-  std::vector<FlowId> a = out, b = check;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  assert(a == b);
-#endif
-  return out;
-}
-
-void TapsScheduler::sort_order(std::vector<FlowId>& order, std::size_t sorted_prefix) {
-  const net::Network& net = *net_;
-  const auto cmp = [&net](FlowId a, FlowId b) {
-    const Flow& fa = net.flow(a);
-    const Flow& fb = net.flow(b);
-    if (fa.spec.deadline != fb.spec.deadline) return fa.spec.deadline < fb.spec.deadline;
-    if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
-    return a < b;
-  };
-  assert(sorted_prefix <= order.size());
-  const auto prefix_end = order.begin() + static_cast<std::ptrdiff_t>(sorted_prefix);
-  if (std::is_sorted(order.begin(), prefix_end, cmp)) {
-    std::sort(prefix_end, order.end(), cmp);
-    std::inplace_merge(order.begin(), prefix_end, order.end(), cmp);
-    ++counters_.incremental_sorts;
-  } else {
-    // Remaining-size drift reordered a deadline tie since the last commit.
-    std::sort(order.begin(), order.end(), cmp);
-    ++counters_.full_sorts;
-  }
 }
 
 void TapsScheduler::admit(TaskId id, const std::vector<FlowId>& wave, double now) {
@@ -163,15 +167,17 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
   if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
     obs->on_task_seen(id, now);
   }
+  regranted_.clear();
+  preempted_ = net::kInvalidTask;
   // Flows may be registered after bind() (SDN usage registers tasks as
-  // probes arrive; Network::extend_task adds waves): grow the slice table.
-  if (slices_.size() < net_->flows().size()) slices_.resize(net_->flows().size());
-  if (committed_remaining_.size() < net_->flows().size()) {
-    committed_remaining_.resize(net_->flows().size(), 0.0);
-  }
-  if (slice_gen_.size() < net_->flows().size()) {
-    slice_gen_.resize(net_->flows().size(), 0);
-    rate_touched_mark_.resize(net_->flows().size(), 0);
+  // probes arrive; Network::extend_task adds waves): grow the per-flow tables.
+  const std::size_t flow_count = net_->flows().size();
+  if (slices_.size() < flow_count) slices_.resize(flow_count);
+  if (committed_remaining_.size() < flow_count) committed_remaining_.resize(flow_count, 0.0);
+  if (committed_pos_.size() < flow_count) committed_pos_.resize(flow_count, kNoPosition);
+  if (slice_gen_.size() < flow_count) {
+    slice_gen_.resize(flow_count, 0);
+    rate_touched_mark_.resize(flow_count, 0);
   }
 
   net::Task& t = net_->task(id);
@@ -186,33 +192,47 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
 
   maybe_trim(now);
 
-  // Snapshot the spent committed flows whose stale slices will be dropped if
-  // this arrival commits. Taken before any planning/rejection mutates flow
-  // state.
+  // Algorithm 1's trial: every unfinished admitted flow plus the newcomers,
+  // re-planned from `now` (Ftmp = Ftrans U {arriving flows}). Committed
+  // entries before the watermark are unfinished, untransmitted and still in
+  // EDF+SJF order, so only the entries after it are looked at: unfinished
+  // ones join the wave to be sorted, and spent ones whose slices all lie in
+  // the past are noted so the commit can clear them (a snapshot taken before
+  // any rejection below changes flow states).
+  const EdfSjf cmp{net_};
+  const std::size_t w0 = watermark(now);
   session_retired_.clear();
-  for (const FlowId fid : committed_order_) {
-    const Flow& f = net_->flow(fid);
-    if (f.active() && f.remaining > sim::kByteEpsilon) continue;
-    const auto& sl = slices_[static_cast<std::size_t>(fid)];
+  std::vector<FlowId> moved;
+  for (std::size_t k = w0; k < committed_order_.size(); ++k) {
+    const FlowId fid = committed_order_[k];
+    if (unfinished(net_->flow(fid))) {
+      moved.push_back(fid);
+      continue;
+    }
+    const util::IntervalSet& sl = slices_[static_cast<std::size_t>(fid)];
     if (!sl.empty() && sl.back_end() <= now) session_retired_.push_back(fid);
   }
+  moved.insert(moved.end(), wave.begin(), wave.end());
+  std::sort(moved.begin(), moved.end(), cmp);
+  ++(w0 == 0 ? counters_.full_sorts : counters_.incremental_sorts);
 
-  // Algorithm 1's decision cascade as one journaled session over the live
-  // committed map. Trial: all unfinished admitted flows plus the newcomers,
-  // re-planned from `now` (Ftmp = Ftrans U {arriving flows}). The
-  // incumbents come out of unfinished_admitted() in last-committed EDF+SJF
-  // order, so usually only the wave has to be sorted in.
+  // The trial order is the kept prefix merged with `moved`. Its entries
+  // ahead of the first moved flow are exactly committed_order_[0, adopt):
+  // the session adopts them as they stand and plans the rest.
+  const auto prefix_end = committed_order_.begin() + static_cast<std::ptrdiff_t>(w0);
+  const auto adopt_end = std::lower_bound(committed_order_.begin(), prefix_end, moved.front(), cmp);
+  trial_base_ = static_cast<std::size_t>(adopt_end - committed_order_.begin());
+  trial_.clear();
+  std::merge(adopt_end, prefix_end, moved.begin(), moved.end(), std::back_inserter(trial_), cmp);
   assert(journal_.empty());
-  std::vector<FlowId> trial_order = unfinished_admitted();
-  const std::size_t incumbent_count = trial_order.size();
-  trial_order.insert(trial_order.end(), wave.begin(), wave.end());
-  sort_order(trial_order, incumbent_count);
-  open_session(trial_order, now);
-  plan_tail(trial_order, now);
+  open_session(trial_base_, now);
+  target_ = trial_;
+  plan_tail(now);
   ++counters_.replans;
 
   const RejectOutcome outcome =
-      apply_reject_rule(*net_, id, session_plans_, config_.preempt_policy);
+      apply_reject_rule(*net_, id, session_plans_, config_.preempt_policy,
+                        [this](TaskId task) { return adopted_flows(task); });
   switch (outcome.decision) {
     case Decision::kAccept:
       admit(id, wave, now);
@@ -225,16 +245,12 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
       // greedy multi-path allocator is not monotone, so removing the victim
       // does not provably keep every survivor feasible. Resume from the
       // longest prefix of the trial plan that survives the removal.
-      std::vector<FlowId> order;
-      order.reserve(trial_order.size());
-      for (const FlowId fid : trial_order) {
-        if (net_->flow(fid).task() != outcome.victim) order.push_back(fid);
-      }
-      resume_session(order, now);
+      resume_session(outcome.victim, now);
       ++counters_.replans;
       if (session_infeasible_ == 0) {
         net_->reject_task(outcome.victim);
         ++counters_.tasks_preempted;
+        preempted_ = outcome.victim;
         if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
           obs->on_task_preempted(outcome.victim, id, now);
         }
@@ -250,10 +266,10 @@ void TapsScheduler::on_task_arrival(TaskId id, double now) {
     case Decision::kRejectNew:
       break;
   }
-  reject_and_compact(id, trial_order, now);
+  reject_and_compact(id, now);
 }
 
-void TapsScheduler::reject_and_compact(TaskId id, const std::vector<FlowId>& order, double now) {
+void TapsScheduler::reject_and_compact(TaskId id, double now) {
   net_->reject_task(id);
   ++counters_.tasks_rejected;
   if (sched::ScheduleObserver* obs = schedule_observer(); obs != nullptr) {
@@ -261,84 +277,86 @@ void TapsScheduler::reject_and_compact(TaskId id, const std::vector<FlowId>& ord
   }
   // Re-plan the incumbents opportunistically: EDF with updated remaining
   // sizes usually compacts the schedule and helps future admissions.
-  std::vector<FlowId> incumbents;
-  incumbents.reserve(order.size());
-  for (const FlowId fid : order) {
-    if (net_->flow(fid).task() != id) incumbents.push_back(fid);
-  }
-  resume_session(incumbents, now);
+  resume_session(id, now);
   ++counters_.replans;
   if (session_infeasible_ == 0) {
     commit_session(now);
-  } else {
-    abandon_session();
-    ++counters_.replan_reverts;
-    util::log_debug() << "TAPS: compacting re-plan at t=" << now
-                      << " would strand a survivor; keeping the prior plan";
+    return;
   }
+  abandon_session();
+  ++counters_.replan_reverts;
+  // The committed order still holds the rejected task's earlier waves,
+  // which are no longer unfinished: nothing from the first of them on is
+  // adoptable.
+  adopt_limit_ = std::min(adopt_limit_, first_position(id));
+  util::log_debug() << "TAPS: compacting re-plan at t=" << now
+                    << " would strand a survivor; keeping the prior plan";
 }
 
-void TapsScheduler::open_session(const std::vector<FlowId>& target, double now) {
+std::size_t TapsScheduler::watermark(double now) const {
+  const auto begin = committed_min_start_.begin();
+  const auto end = begin + static_cast<std::ptrdiff_t>(
+                               std::min(adopt_limit_, committed_min_start_.size()));
+  return static_cast<std::size_t>(
+      std::partition_point(begin, end, [now](double start) { return start >= now; }) - begin);
+}
+
+std::size_t TapsScheduler::first_position(TaskId task) const {
+  std::size_t first = std::numeric_limits<std::size_t>::max();
+  for (const FlowId fid : net_->task(task).spec.flows) {
+    const auto i = static_cast<std::size_t>(fid);
+    if (i < committed_pos_.size() && committed_pos_[i] != kNoPosition) {
+      first = std::min<std::size_t>(first, committed_pos_[i]);
+    }
+  }
+  return first;
+}
+
+std::size_t TapsScheduler::adopted_flows(TaskId task) const {
+  std::size_t n = 0;
+  for (const FlowId fid : net_->task(task).spec.flows) {
+    const auto i = static_cast<std::size_t>(fid);
+    if (i < committed_pos_.size() && committed_pos_[i] < session_adopted_) ++n;
+  }
+  return n;
+}
+
+void TapsScheduler::open_session(std::size_t adopt, [[maybe_unused]] double now) {
   assert(journal_.empty());
+  assert(adopt <= committed_order_.size());
+  session_adopted_ = adopt;
   session_order_.clear();
   session_plans_.clear();
   session_marks_.clear();
-  session_adopted_ = 0;
   session_infeasible_ = 0;
-
-  // Walk the last committed plan in order. The leading run of entries that a
-  // full replan would provably reproduce verbatim is adopted in place (their
-  // occupancy is already in occ_ — zero work); everything else is vacated so
-  // the tail replans against exactly the context the full replan would see.
-  // While the validity tokens are stale nothing is adopted: the session is a
-  // full replan.
-  bool chain = cross_arrival_valid_;
-  std::size_t pos = 0;  // next unmatched position of `target`
-  for (const FlowId fid : committed_order_) {
-    const Flow& f = net_->flow(fid);
+#ifndef NDEBUG
+  // The watermark's promise: an adopted entry has not transmitted since its
+  // commit, so a full replan recomputes exactly its committed path and
+  // slices (DESIGN.md, "Incremental replanning").
+  for (std::size_t k = 0; k < adopt; ++k) {
+    const FlowId fid = committed_order_[k];
     const auto i = static_cast<std::size_t>(fid);
-    util::IntervalSet& sl = slices_[i];
-    const bool unfinished = f.active() && f.remaining > sim::kByteEpsilon;
-    if (!unfinished) {
-      if (sl.empty()) continue;
-      // The flow left the order, so its occupancy must go. If any of it lies
-      // in the future, a full replan would not have reproduced the prefix
-      // planned around it — the reusable run ends here.
-      if (sl.back_end() > now) chain = false;
-      occ_.vacate(f.path, sl, journal_);
-      continue;
-    }
-    if (chain && pos < target.size() && target[pos] == fid && !sl.empty() &&
-        sl.front_start() >= now && f.remaining == committed_remaining_[i]) {
-      // Reusable: same flow at the same position, remaining bitwise
-      // untouched since the commit (no transmission — its slices start at or
-      // after `now`), and every earlier position matched too. A full replan
-      // recomputes exactly the committed path and slices here (DESIGN.md,
-      // "Incremental replanning"), so adopt them without replanning. The
-      // plan entry carries just what apply_reject_rule reads.
-      session_marks_.push_back(OccupancyMap::checkpoint(journal_));
-      session_order_.push_back(fid);
-      FlowPlan light;
-      light.flow = fid;
-      light.completion = sl.back_end();
-      light.feasible = true;
-      session_plans_.push_back(std::move(light));
-      ++pos;
-      continue;
-    }
-    chain = false;
-    occ_.vacate(f.path, sl, journal_);
+    assert(unfinished(net_->flow(fid)));
+    assert(net_->flow(fid).remaining == committed_remaining_[i]);
+    assert(!slices_[i].empty() && slices_[i].front_start() >= now);
   }
-  session_adopted_ = session_order_.size();
-  counters_.cross_arrival_reuse_flows += session_adopted_;
+#endif
+  // Everything after the adopted prefix is vacated by its exact slices, so
+  // the tail replans against exactly the context a full replan would see.
+  for (std::size_t k = adopt; k < committed_order_.size(); ++k) {
+    const FlowId fid = committed_order_[k];
+    const util::IntervalSet& sl = slices_[static_cast<std::size_t>(fid)];
+    if (!sl.empty()) occ_.vacate(net_->flow(fid).path, sl, journal_);
+  }
+  counters_.cross_arrival_reuse_flows += adopt;
 }
 
-void TapsScheduler::plan_tail(const std::vector<FlowId>& target, double now) {
+void TapsScheduler::plan_tail(double now) {
   const PlanConfig plan_config{.max_paths = config_.max_paths,
                                .ecmp_routing = config_.ecmp_routing,
                                .guard_band = config_.guard_band};
-  for (std::size_t k = session_order_.size(); k < target.size(); ++k) {
-    const FlowId fid = target[k];
+  for (std::size_t k = session_order_.size(); k < target_.size(); ++k) {
+    const FlowId fid = target_[k];
     session_marks_.push_back(OccupancyMap::checkpoint(journal_));
     FlowPlan plan = plan_one_flow(*net_, occ_, fid, now, plan_config, &plan_scratch_);
     ++counters_.flows_planned;
@@ -353,22 +371,31 @@ void TapsScheduler::plan_tail(const std::vector<FlowId>& target, double now) {
   }
 }
 
-void TapsScheduler::resume_session(const std::vector<FlowId>& target, double now) {
-  std::size_t p = 0;
-  while (p < session_order_.size() && p < target.size() && session_order_[p] == target[p]) {
-    ++p;
+void TapsScheduler::resume_session(TaskId removed, double now) {
+  // The new target is the trial without `removed`'s flows. Every flow
+  // before `removed`'s first committed position is shared with it, so the
+  // target is rebuilt from there (or from the adopted prefix's end).
+  const std::size_t first = first_position(removed);
+  const std::size_t base = std::min(first, session_adopted_);
+  const auto kept = [this, removed](FlowId fid) { return net_->flow(fid).task() != removed; };
+  target_.clear();
+  for (std::size_t k = base; k < trial_base_; ++k) {
+    if (kept(committed_order_[k])) target_.push_back(committed_order_[k]);
   }
-  if (p < session_adopted_) {
-    // The new target diverges inside the adopted prefix (e.g. the preemption
-    // victim owns one of those flows). Rolling the journal back cannot
-    // un-adopt an entry — adopted occupancy predates the session — so
-    // restore the committed state wholesale and re-open against the new
-    // target; the open walk naturally stops adopting at the first removed
-    // flow.
+  std::copy_if(trial_.begin(), trial_.end(), std::back_inserter(target_), kept);
+  if (first < session_adopted_) {
+    // `removed` owns an adopted flow (e.g. the preemption victim). Rolling
+    // the journal back cannot un-adopt an entry — adopted occupancy
+    // predates the session — so restore the committed state wholesale and
+    // re-open with the prefix ahead of that flow.
     ++counters_.session_restarts;
     abandon_session();
-    open_session(target, now);
+    open_session(first, now);
   } else {
+    std::size_t p = 0;
+    while (p < session_order_.size() && p < target_.size() && session_order_[p] == target_[p]) {
+      ++p;
+    }
     if (p < session_order_.size()) {
       occ_.rollback(journal_, session_marks_[p]);
       for (std::size_t k = p; k < session_plans_.size(); ++k) {
@@ -378,9 +405,9 @@ void TapsScheduler::resume_session(const std::vector<FlowId>& target, double now
       session_marks_.resize(p);
       session_plans_.resize(p);
     }
-    counters_.checkpoint_reuse_flows += p;
+    counters_.checkpoint_reuse_flows += session_adopted_ + p;
   }
-  plan_tail(target, now);
+  plan_tail(now);
 }
 
 void TapsScheduler::commit_session(double now) {
@@ -390,38 +417,54 @@ void TapsScheduler::commit_session(double now) {
     touch_slices(fid);
   }
   session_retired_.clear();
-  committed_order_.clear();
-  committed_order_.reserve(session_order_.size());
+  // The adopted prefix stays as it is; the order is rewritten from its end.
+  const std::size_t adopted = session_adopted_;
+  for (std::size_t k = adopted; k < committed_order_.size(); ++k) {
+    committed_pos_[static_cast<std::size_t>(committed_order_[k])] = kNoPosition;
+  }
+  committed_order_.resize(adopted);
+  committed_min_start_.resize(adopted);
   sched::ScheduleObserver* obs = schedule_observer();
   std::vector<sched::CommittedFlowView> view;
-  if (obs != nullptr) view.reserve(session_order_.size());
+  if (obs != nullptr) {
+    view.reserve(adopted + session_order_.size());
+    for (const FlowId fid : committed_order_) {
+      Flow& f = net_->flow(fid);
+      view.push_back({fid, f.task(), false, &f.path, &slices_[static_cast<std::size_t>(fid)]});
+    }
+  }
+  double min_start = adopted == 0 ? sim::kInfinity : committed_min_start_.back();
   for (std::size_t k = 0; k < session_order_.size(); ++k) {
     const FlowId fid = session_order_[k];
     const auto i = static_cast<std::size_t>(fid);
     Flow& f = net_->flow(fid);
-    bool regranted = false;
-    if (k >= session_adopted_) {
-      FlowPlan& plan = session_plans_[k];
-      // Adopted entries are, by construction, exactly what a full replan
-      // would have reproduced verbatim — so comparing only the replanned
-      // tail flags the same re-grant set as a full replan's commit.
-      regranted = f.path.links != plan.path.links || slices_[i] != plan.slices;
-      if (regranted) {
-        ++counters_.slice_grants;
-        touch_slices(fid);
-      }
-      f.path = std::move(plan.path);
-      slices_[i] = std::move(plan.slices);
+    FlowPlan& plan = session_plans_[k];
+    // Adopted entries are, by construction, exactly what a full replan
+    // would have reproduced verbatim — so comparing only the replanned tail
+    // flags the same re-grant set as a full replan's commit.
+    const bool regranted = f.path.links != plan.path.links || slices_[i] != plan.slices;
+    if (regranted) {
+      ++counters_.slice_grants;
+      touch_slices(fid);
+      regranted_.push_back(fid);
     }
+    f.path = std::move(plan.path);
+    slices_[i] = std::move(plan.slices);
+    committed_pos_[i] = static_cast<std::uint32_t>(committed_order_.size());
     committed_order_.push_back(fid);
     committed_remaining_[i] = f.remaining;
-    if (obs != nullptr) view.push_back({fid, f.task(), regranted, &f.path, &slices_[i]});
+    // An entry without bytes worth planning is never adoptable.
+    const util::IntervalSet& sl = slices_[i];
+    min_start = std::min(min_start, unfinished(f) && !sl.empty() ? sl.front_start()
+                                                                 : -sim::kInfinity);
+    committed_min_start_.push_back(min_start);
+    if (obs != nullptr) view.push_back({fid, f.task(), regranted, &f.path, &sl});
   }
   ++counters_.plan_commits;
   // occ_ already holds exactly the committed occupancy; the journal's undo
   // history is no longer needed.
   journal_.clear();
-  cross_arrival_valid_ = true;
+  adopt_limit_ = committed_order_.size();
   if (obs != nullptr) obs->on_plan_committed(now, view);
 }
 
@@ -450,14 +493,15 @@ void TapsScheduler::on_flow_finished(FlowId id, double now) {
     // session that dropped them). No session is open, so the journal only
     // carries these records and is dropped straight after.
     assert(journal_.empty());
-    for (const FlowId fid : committed_order_) {
-      const Flow& s = net_->flow(fid);
-      if (s.task() == f.task() && !s.finished()) {
-        occ_.vacate(s.path, slices_[static_cast<std::size_t>(fid)], journal_);
+    const net::Task& t = net_->task(f.task());
+    for (const FlowId sibling : t.spec.flows) {
+      const Flow& s = net_->flow(sibling);
+      const auto i = static_cast<std::size_t>(sibling);
+      if (i < committed_pos_.size() && committed_pos_[i] != kNoPosition && !s.finished()) {
+        occ_.vacate(s.path, slices_[i], journal_);
       }
     }
     journal_.clear();
-    const net::Task& t = net_->task(f.task());
     for (const FlowId sibling : t.spec.flows) {
       Flow& s = net_->flow(sibling);
       if (!s.finished()) {
@@ -469,7 +513,7 @@ void TapsScheduler::on_flow_finished(FlowId id, double now) {
     // The committed plan was built around the siblings' occupancy, so no
     // prefix of it is provably what a full replan would reproduce: the next
     // session adopts nothing.
-    cross_arrival_valid_ = false;
+    adopt_limit_ = 0;
   }
 }
 

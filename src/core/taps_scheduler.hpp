@@ -50,9 +50,10 @@ struct TapsCounters {
   /// Compacting re-plans abandoned because the greedy allocator would have
   /// stranded an already-admitted flow (the prior plan was kept instead).
   std::size_t replan_reverts = 0;
-  /// Replans where the incumbents were still in EDF+SJF order from the last
-  /// commit, so only the arriving wave was sorted and merged in (vs
-  /// full_sorts, where remaining-size drift forced a full re-sort).
+  /// Arrivals whose trial order kept an untransmitted committed prefix, so
+  /// only the flows after the watermark plus the wave were sorted and merged
+  /// in (vs full_sorts: nothing before the watermark, the whole trial order
+  /// was sorted).
   std::size_t incremental_sorts = 0;
   std::size_t full_sorts = 0;
   /// Flow positions actually planned by running Algorithms 2/3
@@ -65,7 +66,8 @@ struct TapsCounters {
   std::size_t paths_evaluated = 0;
   /// Flow positions satisfied by adopting the committed plan's still-valid
   /// leading prefix at session open instead of replanning them
-  /// (cross-arrival prefix reuse).
+  /// (cross-arrival prefix reuse). A restarted session counts its prefix
+  /// again.
   std::size_t cross_arrival_reuse_flows = 0;
   /// Flow positions kept from an earlier replan of the same arrival when
   /// the preemption-validation or compacting replan resumed from a prefix
@@ -110,6 +112,13 @@ class TapsScheduler : public sched::BaseScheduler {
   [[nodiscard]] const OccupancyMap& occupancy() const { return occ_; }
   [[nodiscard]] const TapsCounters& counters() const { return counters_; }
 
+  /// Flows whose committed path or slices changed during the latest
+  /// on_task_arrival() (empty when it committed nothing): the replanned
+  /// tail's re-grants, which is all a caller tracking slice ends needs.
+  [[nodiscard]] const std::vector<net::FlowId>& regranted() const { return regranted_; }
+  /// The task preempted by the latest on_task_arrival(), or kInvalidTask.
+  [[nodiscard]] net::TaskId preempted() const { return preempted_; }
+
   /// Move the committed scheduler state onto `fresh`, a re-registration of
   /// the current network's unfinished tasks (same flow states/remaining
   /// bitwise, same relative order). `flow_map[old_id]` gives each old flow's
@@ -132,46 +141,51 @@ class TapsScheduler : public sched::BaseScheduler {
   void admit(net::TaskId id, const std::vector<net::FlowId>& wave, double now);
 
   /// Algorithm 1's reject tail: reject `id`, then compact the surviving
-  /// incumbents (the flows of `order`, already in EDF+SJF order, not owned
-  /// by `id`) by resuming the open session at them. Commits if every
-  /// survivor stays feasible; otherwise abandons the session and counts a
-  /// revert (the prior plan, which transmission has followed exactly, still
-  /// fits every deadline).
-  void reject_and_compact(net::TaskId id, const std::vector<net::FlowId>& order, double now);
-
-  /// Sort `order` EDF+SJF. The first `sorted_prefix` entries are known to be
-  /// in committed order (modulo remaining-size drift on deadline ties, which
-  /// is re-checked): when the check holds, only the tail is sorted and
-  /// merged in. The comparator is a strict total order, so either route
-  /// yields the identical unique ordering.
-  void sort_order(std::vector<net::FlowId>& order, std::size_t sorted_prefix);
+  /// incumbents (the trial without `id`'s flows) by resuming the open
+  /// session at them. Commits if every survivor stays feasible; otherwise
+  /// abandons the session and counts a revert (the prior plan, which
+  /// transmission has followed exactly, still fits every deadline).
+  void reject_and_compact(net::TaskId id, double now);
 
   // ---- journaled admission sessions ----
   //
   // One arrival runs as a *session* that mutates the committed map occ_ in
-  // place under journal_: the committed plan's still-valid leading prefix is
-  // adopted untouched (zero cost), everything after it is vacated, and the
-  // tail is replanned with every mutation logged. Later replans of the same
-  // arrival (preemption validation, compacting) roll back to the checkpoint
-  // of the longest shared prefix and replan only from there. Reverting the
-  // whole arrival is a rollback to the session start. A session that adopts
-  // nothing is a full replan. See DESIGN.md ("Incremental replanning") for
-  // the argument that schedules stay bit-identical to the full-replan oracle
-  // (core::FullReplanOracle).
+  // place under journal_. The committed order is persistent; its leading
+  // run of entries that cannot have transmitted (found by binary search on
+  // the commit-time prefix-minimum of first-slice starts, the *watermark*)
+  // and that sort ahead of every flow that needs a new plan is adopted
+  // wholesale (zero cost). Everything after it is vacated by its exact
+  // slices, and the tail is replanned with every mutation logged. Later
+  // replans of the same arrival (preemption validation, compacting) roll
+  // back to the checkpoint of the longest shared prefix and replan only
+  // from there. Reverting the whole arrival is a rollback to the session
+  // start. A session that adopts nothing is a full replan. See DESIGN.md
+  // ("Incremental replanning") for the argument that schedules stay
+  // bit-identical to the full-replan oracle (core::FullReplanOracle).
 
-  /// Start a session against `target` (requires an empty journal): walk the
-  /// committed order, vacating spent/broken entries and adopting the leading
-  /// prefix that provably matches what a full replan would produce, then
-  /// plan the remaining tail.
-  void open_session(const std::vector<net::FlowId>& target, double now);
-  /// Re-aim the current session at a new target order: roll back to the
-  /// checkpoint of the longest shared prefix (or restart the session when
-  /// the divergence lies inside the adopted prefix) and replan the tail.
-  void resume_session(const std::vector<net::FlowId>& target, double now);
-  void plan_tail(const std::vector<net::FlowId>& target, double now);
-  /// Install the session as the committed plan: move planned paths/slices
-  /// into the network, refresh the cross-arrival validity tokens, drop the
-  /// journal (occ_ already holds the planned occupancy).
+  /// Number of leading committed positions that cannot have transmitted or
+  /// left since their commit: every entry before it is unfinished, has its
+  /// committed remaining and slices, and is still in EDF+SJF order.
+  [[nodiscard]] std::size_t watermark(double now) const;
+  /// Start a session that adopts committed_order_[0, adopt) (requires an
+  /// empty journal) and vacates every later committed entry.
+  void open_session(std::size_t adopt, double now);
+  /// Re-aim the session at the trial without `removed`'s flows: roll back
+  /// to the checkpoint of the longest shared prefix (or restart the session
+  /// when `removed` owns an adopted flow) and replan the tail.
+  void resume_session(net::TaskId removed, double now);
+  /// Plan target_[session_order_.size() ..] after the adopted prefix.
+  void plan_tail(double now);
+  /// Smallest committed position of `task`'s flows (SIZE_MAX when none),
+  /// read from the position index.
+  [[nodiscard]] std::size_t first_position(net::TaskId task) const;
+  /// Adopted flows of `task`: all feasible, so the reject rule counts them
+  /// without seeing their plans.
+  [[nodiscard]] std::size_t adopted_flows(net::TaskId task) const;
+  /// Install the session as the committed plan: move the tail's planned
+  /// paths/slices into the network and rewrite committed_order_ from the
+  /// adopted prefix on, then drop the journal (occ_ already holds the
+  /// planned occupancy).
   void commit_session(double now);
   /// Roll occ_ back to the session start, restoring the committed state
   /// bitwise.
@@ -200,10 +214,6 @@ class TapsScheduler : public sched::BaseScheduler {
   /// slice; see pkt::PacketSimulator).
   double assign_rates_reference(double now);
 
-  /// Unfinished flows of all currently admitted tasks, in last-committed
-  /// EDF+SJF order (the usually-still-sorted prefix sort_order exploits).
-  [[nodiscard]] std::vector<net::FlowId> unfinished_admitted() const;
-
   TapsConfig config_;
   /// Committed occupancy: between arrivals, exactly the union of the
   /// committed order's slices (sessions mutate it in place under journal_).
@@ -211,28 +221,39 @@ class TapsScheduler : public sched::BaseScheduler {
   std::vector<util::IntervalSet> slices_;  // indexed by FlowId
   std::vector<char> makeup_busy_;          // per-link claims within one assign_rates
   std::vector<net::FlowId> committed_order_;  // EDF+SJF order of the last commit
+  /// Per committed position: the minimum over positions [0, k] of each
+  /// entry's first-slice start *at its commit* (-inf for an entry that is
+  /// not adoptable at all). Non-increasing, so the watermark is a binary
+  /// search. Commit-time values matter: a trim clips a transmitting flow's
+  /// slices to start at the trim instant, which would hide its progress.
+  std::vector<double> committed_min_start_;
+  /// Per flow: its position in committed_order_, or kNoPosition.
+  std::vector<std::uint32_t> committed_pos_;
+  static constexpr std::uint32_t kNoPosition = ~std::uint32_t{0};
+  /// Committed positions at or after this are not adoptable whatever their
+  /// starts: an event edited flow state outside a commit (a missed deadline
+  /// drops it to 0, a reverted compaction to the rejected newcomer's first
+  /// committed flow). Each commit resets it to the order's length.
+  std::size_t adopt_limit_ = 0;
   PlanScratch plan_scratch_;               // per-flow candidate-path cache
   TapsCounters counters_;
 
-  // Session state (meaningful only within one arrival, except
-  // committed_remaining_ / cross_arrival_valid_ which persist across
-  // arrivals as the reuse-validity tokens).
+  // Session state (meaningful only within one arrival).
   OccupancyJournal journal_;
-  std::vector<net::FlowId> session_order_;     // plan order built so far
-  std::vector<FlowPlan> session_plans_;        // adopted entries hold light plans
-  std::vector<OccupancyCheckpoint> session_marks_;  // journal state BEFORE each entry
+  std::size_t session_adopted_ = 0;            // adopted prefix length
+  std::size_t trial_base_ = 0;                 // the trial's adopted prefix length
+  std::vector<net::FlowId> trial_;             // trial order from trial_base_ on
+  std::vector<net::FlowId> target_;            // current target from session_adopted_ on
+  std::vector<net::FlowId> session_order_;     // tail planned so far (from session_adopted_)
+  std::vector<FlowPlan> session_plans_;        // one per session_order_ entry
+  std::vector<OccupancyCheckpoint> session_marks_;  // journal state BEFORE each tail entry
   std::vector<net::FlowId> session_retired_;   // spent flows whose slices clear on commit
-  std::size_t session_adopted_ = 0;            // leading adopted-entry count
   std::size_t session_infeasible_ = 0;
-  /// Per-flow remaining bytes at last commit: a committed prefix entry is
-  /// reusable only while its remaining is bitwise unchanged (no transmission
-  /// since the plan was computed) — one of the cheap validity tokens.
+  std::vector<net::FlowId> regranted_;         // see regranted()
+  net::TaskId preempted_ = net::kInvalidTask;  // see preempted()
+  /// Per-flow remaining bytes at last commit. The watermark guarantees an
+  /// adopted entry has not transmitted; Debug builds check it against this.
   std::vector<double> committed_remaining_;
-  /// False until the first commit and after any event that edits scheduler
-  /// state outside a commit (missed-deadline sibling invalidation): the next
-  /// session then adopts nothing (a full replan), and its commit
-  /// re-establishes validity.
-  bool cross_arrival_valid_ = false;
   std::size_t arrivals_since_trim_ = 0;
 
   // Event-driven rate state (see touch_slices/refresh_rate above).

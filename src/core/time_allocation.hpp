@@ -107,10 +107,18 @@ class IdleScan {
 
   /// Fill the idle gap [cursor, gap_end). cursor + take can round one ulp
   /// past gap_end, into the next busy interval: the slice ends at gap_end at
-  /// the latest.
+  /// the latest. A demand left over only by rounding (the earlier gaps fell
+  /// short of it by less than half an ulp of the cursor) cannot be carried
+  /// by any slice here: the allocation is complete where it stands, rather
+  /// than ending in an empty slice at this gap's start.
   void take(double gap_end) {
     const double take = std::min(need_, gap_end - cursor_);
-    end_ = std::min(cursor_ + take, gap_end);
+    const double end = std::min(cursor_ + take, gap_end);
+    if (end == cursor_ && took_) {
+      need_ = 0.0;
+      return;
+    }
+    end_ = end;
     if (slices_ != nullptr) slices_->push_back_disjoint(cursor_, end_);
     need_ -= take;
     took_ = true;

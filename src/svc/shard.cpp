@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -21,6 +22,43 @@ Shard::Shard(const topo::Topology& topology, const ShardConfig& config)
   sched_.bind(*net_);
 }
 
+bool Shard::live(const Flow& f) const {
+  return !f.finished() && net_->task(f.task()).state == net::TaskState::kAdmitted;
+}
+
+void Shard::track(FlowId fid) {
+  const util::IntervalSet& sl = sched_.slices(fid);
+  if (sl.empty()) return;
+  const auto i = static_cast<std::size_t>(fid);
+  if (sl.back_end() != queued_end_[i]) {
+    queued_end_[i] = sl.back_end();
+    ends_.push_back(SliceEvent{sl.back_end(), fid});
+    std::push_heap(ends_.begin(), ends_.end(), SliceEventAfter{});
+  }
+  // A queued start earlier than the flow's real one only makes it join
+  // started_ early, where its start is checked again.
+  if (sl.front_start() < queued_start_[i]) {
+    queued_start_[i] = sl.front_start();
+    starts_.push_back(SliceEvent{sl.front_start(), fid});
+    std::push_heap(starts_.begin(), starts_.end(), SliceEventAfter{});
+  }
+  if (ends_.size() + starts_.size() > prune_at_) prune();
+}
+
+void Shard::prune() {
+  const auto stale = [this](const std::vector<double>& queued) {
+    return [this, &queued](const SliceEvent& e) {
+      return net_->flow(e.fid).finished() || queued[static_cast<std::size_t>(e.fid)] != e.time;
+    };
+  };
+  std::erase_if(ends_, stale(queued_end_));
+  std::make_heap(ends_.begin(), ends_.end(), SliceEventAfter{});
+  std::erase_if(starts_, stale(queued_start_));
+  std::make_heap(starts_.begin(), starts_.end(), SliceEventAfter{});
+  constexpr std::size_t kMinPrune = 64;
+  prune_at_ = 2 * std::max(ends_.size() + starts_.size(), kMinPrune);
+}
+
 void Shard::advance_to(double t) {
   assert(t + sim::kTimeEpsilon >= clock_);
   if (t < clock_) return;
@@ -28,40 +66,46 @@ void Shard::advance_to(double t) {
   // exactly inside its pre-allocated slices, so it completes when its last
   // slice ends. Deliver completions in (time, id) order — the same order a
   // discrete-event simulator would — so scheduler bookkeeping stays
-  // deterministic.
-  std::vector<std::pair<double, FlowId>> done;
-  std::size_t keep = 0;
-  for (const FlowId fid : live_flows_) {
-    const Flow& f = net_->flow(fid);
-    if (f.finished()) continue;  // preempted since the last advance
-    const auto& sl = sched_.slices(fid);
-    if (!sl.empty() && sl.back_end() <= t) {
-      done.emplace_back(sl.back_end(), fid);
-      continue;
-    }
-    live_flows_[keep++] = fid;
+  // deterministic. The heap yields them in that order; all are collected
+  // before any is delivered.
+  done_.clear();
+  while (!ends_.empty() && ends_.front().time <= t) {
+    std::pop_heap(ends_.begin(), ends_.end(), SliceEventAfter{});
+    const SliceEvent e = ends_.back();
+    ends_.pop_back();
+    double& queued = queued_end_[static_cast<std::size_t>(e.fid)];
+    if (net_->flow(e.fid).finished() || queued != e.time) continue;
+    queued = -sim::kInfinity;  // an equal duplicate entry no longer matches
+    done_.push_back(e);
   }
-  live_flows_.resize(keep);
-  std::sort(done.begin(), done.end());
-  for (const auto& [at, fid] : done) {
-    net_->on_flow_completed(fid, at);
-    sched_.on_flow_finished(fid, at);
+  for (const SliceEvent& e : done_) {
+    assert(sched_.slices(e.fid).back_end() == e.time);
+    net_->on_flow_completed(e.fid, e.time);
+    sched_.on_flow_finished(e.fid, e.time);
     ++completed_;
   }
-  // Partial progress: `remaining` is the untransmitted slice mass. Flows
-  // with no elapsed mass are left untouched so their remaining stays
-  // bitwise equal to the committed value — the scheduler's cross-arrival
-  // prefix reuse is gated on exactly that comparison.
+  // Partial progress: `remaining` is the untransmitted slice mass. Only
+  // flows whose first slice began before `t` are touched, so every other
+  // flow's remaining stays bitwise equal to the committed value — what the
+  // scheduler's watermark relies on.
+  while (!starts_.empty() && starts_.front().time < t) {
+    std::pop_heap(starts_.begin(), starts_.end(), SliceEventAfter{});
+    const SliceEvent e = starts_.back();
+    starts_.pop_back();
+    double& queued = queued_start_[static_cast<std::size_t>(e.fid)];
+    if (net_->flow(e.fid).finished() || queued != e.time) continue;
+    queued = -sim::kInfinity;
+    started_.push_back(e.fid);
+  }
   const double capacity = net_->capacity();
-  for (const FlowId fid : live_flows_) {
+  std::erase_if(started_, [this](FlowId fid) { return net_->flow(fid).finished(); });
+  for (const FlowId fid : started_) {
     Flow& f = net_->flow(fid);
     const auto& sl = sched_.slices(fid);
-    if (sl.empty() || sl.front_start() >= t) continue;
+    // A re-grant or a trim can move a started flow's first slice past `t`.
+    if (sl.front_start() >= t) continue;
     f.remaining = capacity * sl.overlap_measure(t, sim::kInfinity);
     f.bytes_sent = f.spec.size - f.remaining;
-  }
-  if (!done.empty()) {
-    std::erase_if(live_tasks_, [&](TaskId id) { return net_->task(id).finished(); });
   }
   clock_ = t;
 }
@@ -84,37 +128,30 @@ TaskResponse Shard::process(Seq seq, const TaskRequest& request) {
   const TaskId local = net_->add_task(request.arrival, request.deadline, specs);
   assert(static_cast<std::size_t>(local) == task_seq_.size());
   task_seq_.push_back(seq);
+  queued_end_.resize(net_->flows().size(), -sim::kInfinity);
+  queued_start_.resize(net_->flows().size(), sim::kInfinity);
 
-  const std::size_t preempted_before = sched_.counters().tasks_preempted;
   sched_.on_task_arrival(local, request.arrival);
   ++processed_;
+  for (const FlowId fid : sched_.regranted()) track(fid);
 
   TaskResponse resp;
   resp.seq = seq;
   resp.client_tag = request.client_tag;
 
   // A preemption revokes exactly one previously-admitted task (the reject
-  // rule's single victim): find it among the live tasks by its new
-  // kRejected state and report its submission seq.
-  if (sched_.counters().tasks_preempted != preempted_before) {
-    for (const TaskId tid : live_tasks_) {
-      if (net_->task(tid).state == net::TaskState::kRejected) {
-        resp.preempted.push_back(task_seq_[static_cast<std::size_t>(tid)]);
-        ++preempted_;
-      }
-    }
-    std::erase_if(live_tasks_, [&](TaskId id) { return net_->task(id).finished(); });
-    std::erase_if(live_flows_, [&](FlowId id) { return net_->flow(id).finished(); });
+  // rule's single victim): report its submission seq.
+  if (const TaskId victim = sched_.preempted(); victim != net::kInvalidTask) {
+    resp.preempted.push_back(task_seq_[static_cast<std::size_t>(victim)]);
+    ++preempted_;
   }
 
   const Task& t = net_->task(local);
   if (t.state == net::TaskState::kAdmitted) {
     resp.reason = Reason::kAccepted;
     ++accepted_;
-    live_tasks_.push_back(local);
     resp.grants.reserve(t.spec.flows.size());
     for (const FlowId fid : t.spec.flows) {
-      live_flows_.push_back(fid);
       resp.grants.push_back(FlowGrant{net_->flow(fid).path, sched_.slices(fid)});
     }
   } else {
@@ -136,7 +173,6 @@ void Shard::maybe_compact() {
   auto fresh = std::make_unique<net::Network>(*topo_);
   std::vector<FlowId> flow_map(net_->flows().size(), net::kInvalidFlow);
   std::vector<Seq> task_seq;
-  std::vector<TaskId> live_tasks;
   std::vector<net::FlowSpec> specs;
   for (const Task& t : net_->tasks()) {
     if (t.finished()) continue;
@@ -159,20 +195,19 @@ void Shard::maybe_compact() {
       flow_map[static_cast<std::size_t>(of.id())] = nf.id();
     }
     task_seq.push_back(task_seq_[static_cast<std::size_t>(t.id())]);
-    live_tasks.push_back(nid);
-  }
-  std::vector<FlowId> live_flows;
-  live_flows.reserve(live_flows_.size());
-  for (const FlowId fid : live_flows_) {
-    if (net_->flow(fid).finished()) continue;
-    assert(flow_map[static_cast<std::size_t>(fid)] != net::kInvalidFlow);
-    live_flows.push_back(flow_map[static_cast<std::size_t>(fid)]);
   }
   sched_.migrate(*fresh, flow_map);
   net_ = std::move(fresh);
   task_seq_ = std::move(task_seq);
-  live_tasks_ = std::move(live_tasks);
-  live_flows_ = std::move(live_flows);
+  // Flow ids changed: queue every live flow's slices afresh.
+  ends_.clear();
+  starts_.clear();
+  started_.clear();
+  queued_end_.assign(net_->flows().size(), -sim::kInfinity);
+  queued_start_.assign(net_->flows().size(), sim::kInfinity);
+  for (const Flow& f : net_->flows()) {
+    if (live(f)) track(f.id());
+  }
   ++compactions_;
 }
 
@@ -184,8 +219,12 @@ ShardStats Shard::stats() const {
   s.preempted = preempted_;
   s.completed = completed_;
   s.compactions = compactions_;
-  s.live_tasks = live_tasks_.size();
-  s.live_flows = live_flows_.size();
+  for (const Task& t : net_->tasks()) {
+    if (t.state == net::TaskState::kAdmitted) ++s.live_tasks;
+  }
+  for (const Flow& f : net_->flows()) {
+    if (live(f)) ++s.live_flows;
+  }
   s.registered_tasks = net_->tasks().size();
   s.registered_flows = net_->flows().size();
   s.clock = clock_;
@@ -207,12 +246,12 @@ std::string Shard::fingerprint() const {
     os << "task " << task_seq_[static_cast<std::size_t>(t.id())] << " "
        << static_cast<int>(t.state) << " " << t.completed_flows << "\n";
   }
-  for (const FlowId fid : live_flows_) {
-    const Flow& f = net_->flow(fid);
+  for (const Flow& f : net_->flows()) {
+    if (!live(f)) continue;
     os << "flow " << task_seq_[static_cast<std::size_t>(f.task())] << " " << f.remaining << " p";
     for (const topo::LinkId l : f.path.links) os << " " << l;
     os << " s";
-    for (const util::Interval& iv : sched_.slices(fid).intervals()) {
+    for (const util::Interval& iv : sched_.slices(f.id()).intervals()) {
       os << " [" << iv.lo << "," << iv.hi << ")";
     }
     os << "\n";
@@ -231,9 +270,12 @@ std::string Shard::fingerprint() const {
 std::optional<std::string> Shard::audit() const {
   // Absolute slack for double sums over slice endpoints scaled by link
   // capacity (~1e9): generous against ulp accumulation, far below any real
-  // misaccounting (flow sizes are megabytes).
+  // misaccounting (flow sizes are megabytes). Only the byte check needs it:
+  // the planner writes slice endpoints exactly, so everything else is
+  // compared exactly.
   constexpr double kByteSlack = 1e-3;
   std::ostringstream err;
+  err << std::setprecision(17);
   if (processed_ != accepted_ + rejected_) {
     err << "counter drift: processed " << processed_ << " != accepted " << accepted_
         << " + rejected " << rejected_;
@@ -242,14 +284,9 @@ std::optional<std::string> Shard::audit() const {
   const core::OccupancyMap& occ = sched_.occupancy();
   std::vector<std::vector<util::Interval>> per_link(net_->graph().link_count());
   const double capacity = net_->capacity();
-  for (const TaskId tid : live_tasks_) {
-    if (net_->task(tid).state != net::TaskState::kAdmitted) {
-      err << "live task seq " << task_seq_[static_cast<std::size_t>(tid)] << " not admitted";
-      return err.str();
-    }
-  }
-  for (const FlowId fid : live_flows_) {
-    const Flow& f = net_->flow(fid);
+  for (const Flow& f : net_->flows()) {
+    if (!live(f)) continue;
+    const FlowId fid = f.id();
     const Seq seq = task_seq_[static_cast<std::size_t>(f.task())];
     const util::IntervalSet& sl = sched_.slices(fid);
     if (!f.active()) {
@@ -260,13 +297,14 @@ std::optional<std::string> Shard::audit() const {
       err << "task seq " << seq << ": empty or non-canonical slices";
       return err.str();
     }
-    if (sl.back_end() > f.spec.deadline + sim::kTimeEpsilon) {
+    if (sl.back_end() > f.spec.deadline) {
       err << "task seq " << seq << ": slices end " << sl.back_end() << " after deadline "
           << f.spec.deadline;
       return err.str();
     }
-    if (sl.front_start() < f.spec.arrival - sim::kTimeEpsilon) {
-      err << "task seq " << seq << ": slices start before arrival";
+    if (sl.front_start() < f.spec.arrival) {
+      err << "task seq " << seq << ": slices start " << sl.front_start() << " before arrival "
+          << f.spec.arrival;
       return err.str();
     }
     const double planned = capacity * sl.overlap_measure(clock_, sim::kInfinity);
@@ -276,9 +314,15 @@ std::optional<std::string> Shard::audit() const {
       return err.str();
     }
     for (const topo::LinkId l : f.path.links) {
+      const std::vector<util::Interval>& busy = occ.link(l).intervals();
       for (const util::Interval& iv : sl.intervals()) {
-        if (occ.link(l).overlap_measure(iv.lo, iv.hi) < iv.length() - sim::kTimeEpsilon) {
-          err << "task seq " << seq << ": slice not backed by occupancy on link " << l;
+        // Backed: the slice lies inside one interval of the link's canonical
+        // occupancy (the last one starting at or before it).
+        const auto it = std::upper_bound(busy.begin(), busy.end(), iv.lo,
+                                         [](double v, const util::Interval& b) { return v < b.lo; });
+        if (it == busy.begin() || std::prev(it)->hi < iv.hi) {
+          err << "task seq " << seq << ": slice [" << iv.lo << "," << iv.hi
+              << ") not backed by occupancy on link " << l;
           return err.str();
         }
         per_link[static_cast<std::size_t>(l)].push_back(iv);
@@ -291,7 +335,7 @@ std::optional<std::string> Shard::audit() const {
     std::sort(ivs.begin(), ivs.end(),
               [](const util::Interval& a, const util::Interval& b) { return a.lo < b.lo; });
     for (std::size_t i = 1; i < ivs.size(); ++i) {
-      if (ivs[i].lo < ivs[i - 1].hi - sim::kTimeEpsilon) {
+      if (ivs[i].lo < ivs[i - 1].hi) {
         err << "exclusive-use violation on link " << l << ": [" << ivs[i - 1].lo << ","
             << ivs[i - 1].hi << ") overlaps [" << ivs[i].lo << "," << ivs[i].hi << ")";
         return err.str();

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -92,14 +93,36 @@ class Shard {
   /// Test/debug aid for the equivalence suites.
   [[nodiscard]] std::string fingerprint() const;
 
-  /// Invariant oracle: every live flow holds canonical, deadline-respecting
-  /// slices that are mutually exclusive per link and present in the
-  /// scheduler's committed occupancy. Returns a description of the first
-  /// violation, or nullopt when silent.
+  /// Invariant oracle: every live flow holds canonical slices that lie
+  /// within [arrival, deadline], are mutually exclusive per link and sit
+  /// inside the scheduler's committed occupancy — all checked exactly — and
+  /// carry its remaining bytes up to byte-integration slack. Returns a
+  /// description of the first violation, or nullopt when silent.
   [[nodiscard]] std::optional<std::string> audit() const;
 
  private:
+  /// A committed slice boundary of one flow.
+  struct SliceEvent {
+    double time = 0.0;
+    net::FlowId fid = net::kInvalidFlow;
+  };
+  /// Min-heap order (std::push_heap/pop_heap): earliest time first, then
+  /// lowest flow id.
+  struct SliceEventAfter {
+    bool operator()(const SliceEvent& a, const SliceEvent& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.fid > b.fid;
+    }
+  };
+
   void maybe_compact();
+  /// Queue the end of `fid`'s committed slices, and their start unless the
+  /// flow has started or an earlier start is already queued.
+  void track(net::FlowId fid);
+  /// Drop the heap entries that no longer describe a live flow's slices.
+  void prune();
+  /// Admitted and unfinished: a flow of an admitted task that is not done.
+  [[nodiscard]] bool live(const net::Flow& f) const;
 
   const topo::Topology* topo_;
   ShardConfig config_;
@@ -107,9 +130,19 @@ class Shard {
   core::TapsScheduler sched_;
   double clock_ = 0.0;
   std::size_t arrivals_since_compact_ = 0;
-  std::vector<Seq> task_seq_;             // local TaskId -> submission seq
-  std::vector<net::TaskId> live_tasks_;   // admitted, unfinished
-  std::vector<net::FlowId> live_flows_;   // admitted, unfinished
+  std::vector<Seq> task_seq_;  // local TaskId -> submission seq
+  // Virtual-time events, fed from each commit's re-grants. An entry is
+  // current while its time is the one recorded for its unfinished flow
+  // below; others are dropped when they surface, or all at once when the
+  // heaps have doubled since the last prune, which keeps them
+  // proportional to the live set.
+  std::vector<SliceEvent> ends_;    // min-heap of last-slice ends: completions
+  std::vector<SliceEvent> starts_;  // min-heap of first-slice starts not yet passed
+  std::size_t prune_at_ = 0;
+  std::vector<double> queued_end_;    // per flow: its last-slice end (-inf: none)
+  std::vector<double> queued_start_;  // per flow: its queued start (+inf: none, -inf: started)
+  std::vector<net::FlowId> started_;  // flows whose first slice began before clock_
+  std::vector<SliceEvent> done_;  // advance_to scratch
   std::size_t processed_ = 0;
   std::size_t accepted_ = 0;
   std::size_t rejected_ = 0;

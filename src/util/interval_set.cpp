@@ -45,7 +45,16 @@ void IntervalSet::erase(double lo, double hi) {
   ivs_ = std::move(out);
 }
 
-void IntervalSet::trim_before(double t) { erase(-std::numeric_limits<double>::infinity(), t); }
+bool IntervalSet::trim_before(double t) {
+  if (ivs_.empty() || ivs_.front().lo >= t) return false;
+  // Same result as erase(-inf, t): intervals ending at or before t go, and
+  // the one straddling t is clipped to start at t.
+  const auto first_kept = std::lower_bound(ivs_.begin(), ivs_.end(), t,
+                                           [](const Interval& iv, double v) { return iv.hi <= v; });
+  ivs_.erase(ivs_.begin(), first_kept);
+  if (!ivs_.empty() && ivs_.front().lo < t) ivs_.front().lo = t;
+  return true;
+}
 
 IntervalSet::SpliceUndo IntervalSet::insert_logged(double lo, double hi,
                                                    std::vector<Interval>& arena) {
@@ -201,8 +210,11 @@ IntervalSet IntervalSet::allocate_earliest(double from, double duration, double 
     if (idle_hi > idle_lo) {
       const double take = std::min(need, idle_hi - idle_lo);
       // idle_lo + take can round one ulp past idle_hi, into the busy
-      // interval; the slice ends at the gap's end at the latest.
-      out.ivs_.push_back(Interval{idle_lo, std::min(idle_lo + take, idle_hi)});
+      // interval; the slice ends at the gap's end at the latest. A demand
+      // left over only by rounding cannot fill a slice: done.
+      const double end = std::min(idle_lo + take, idle_hi);
+      if (end == idle_lo && !out.empty()) return out;
+      out.ivs_.push_back(Interval{idle_lo, end});
       need -= take;
       if (need <= 0.0) return out;
     }
@@ -211,7 +223,9 @@ IntervalSet IntervalSet::allocate_earliest(double from, double duration, double 
   }
   if (need > 0.0 && cursor < horizon) {
     const double take = std::min(need, horizon - cursor);
-    out.ivs_.push_back(Interval{cursor, std::min(cursor + take, horizon)});
+    const double end = std::min(cursor + take, horizon);
+    if (end == cursor && !out.empty()) return out;
+    out.ivs_.push_back(Interval{cursor, end});
     need -= take;
   }
   if (need > 1e-12) return IntervalSet{};  // insufficient idle time before horizon

@@ -73,8 +73,10 @@ class IntervalSet {
   /// must be undone in LIFO order.
   void undo_splice(const SpliceUndo& undo, const Interval* replaced, std::size_t n);
 
-  /// Remove everything before `t` (useful to garbage-collect past occupancy).
-  void trim_before(double t);
+  /// Remove everything before `t` (useful to garbage-collect past
+  /// occupancy), in place. Returns whether anything was removed; a set with
+  /// nothing before `t` is left untouched at O(1) cost.
+  bool trim_before(double t);
 
   void clear() { ivs_.clear(); }
 

@@ -9,6 +9,7 @@
 #include <iomanip>
 #include <map>
 
+#include "common/exclusivity_stream.hpp"
 #include "common/fixtures.hpp"
 #include "core/taps_scheduler.hpp"
 #include "topo/fattree.hpp"
@@ -104,30 +105,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExclusiveUse, ::testing::Values(1u, 7u, 42u, 133
 // Committed slices must be disjoint per link to the last bit, not just up to
 // a slack: a slice that fills an idle gap has to end exactly where the next
 // busy interval starts, even when `cursor + (gap_end - cursor)` rounds one
-// ulp past it. 600 single-flow tasks at t=0 on a k=4 fat-tree at 2^30 B/s
-// (draws shaped like the cross-pod service stress producers) reach such
+// ulp past it. The stream (tests/common/exclusivity_stream.hpp) reaches such
 // gaps at every seed below.
 class SliceExclusivity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SliceExclusivity, CommittedSlicesNeverShareALinkInstant) {
-  constexpr double kCapacity = 1073741824.0;
-  const topo::FatTree ft(topo::FatTreeConfig{4, kCapacity});
+  const topo::FatTree ft(topo::FatTreeConfig{4, test::kExclusivityCapacity});
   net::Network net(ft);
-  util::Rng rng(GetParam());
-  const int half = ft.k() / 2;
-  for (int i = 0; i < 600; ++i) {
-    const int src_pod = static_cast<int>(rng.uniform_int(0, ft.k() - 1));
-    int dst_pod = src_pod;
-    if (rng.bernoulli(0.4)) dst_pod = static_cast<int>(rng.uniform_int(0, ft.k() - 1));
-    const topo::NodeId src = ft.host(src_pod, 0, static_cast<int>(rng.uniform_int(0, half - 1)));
-    topo::NodeId dst = src;
-    while (dst == src) dst = ft.host(dst_pod, 1, static_cast<int>(rng.uniform_int(0, half - 1)));
-    const double transfer = rng.uniform_real(0.001, 0.01);
-    net::FlowSpec f;
-    f.src = src;
-    f.dst = dst;
-    f.size = transfer * kCapacity;
-    f.deadline = rng.uniform_real(0.5, 2.0);
+  for (const net::FlowSpec& f : test::exclusivity_stream(ft, GetParam())) {
     const std::vector<net::FlowSpec> flows{f};
     (void)net.add_task(0.0, f.deadline, flows);
   }

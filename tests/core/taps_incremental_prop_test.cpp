@@ -4,20 +4,28 @@
 // admission/rejection/preemption decisions, same committed paths and
 // slices, same per-link occupancy, same flow outcomes.
 //
-// Two scenario families run under the comparison:
+// Two scenario families run under the comparison, each under both reject
+// rule readings (PreemptPolicy):
 //   - Dumbbell (one bottleneck): same-instant arrival cascades (maximum
 //     cross-arrival prefix reuse) mixed with spread arrivals (transmission
 //     between commits breaks the reusable prefix), tight deadlines
 //     (rejects, compacting replans and their reverts) and multi-flow tasks
-//     (preemption validation), so every resume/restart path of the session
-//     runs.
+//     (preemption validation).
 //   - k=4 fat-tree hotspots (the multi-path case, where Algorithm 2 chooses
 //     among 2-4 candidate paths): most sources concentrate on two hotspot
 //     hosts so their uplinks fill up, arrivals mostly cascade at one
 //     instant, a tight tail of deadlines forces rejects, and round sizes
 //     land exact-fit deadlines reasonably often.
+// A fifth of the tasks get a second wave (Network::extend_task): under
+// kSchedulable a wave's ratio counts its task's adopted first-wave flows,
+// and rejecting a wave rejects flows already in the committed order.
+// A share of each family's scenarios puts deadlines on a 0.5 s grid. Tied
+// deadlines let SJF sort a newcomer between an incumbent task's flows, so
+// under kSchedulable a preemption victim can own an adopted flow: the
+// session restart path runs (pinned by PreemptionAndRestartHappenInAggregate).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -44,6 +52,11 @@ struct TaskGen {
   double arrival = 0.0;
   double slack = 1.0;  // deadline = arrival + slack
   std::vector<FlowGen> flows;
+  /// Optional second wave (Network::extend_task), arriving `wave_delay`
+  /// after the first: its reject-rule ratios count the task's adopted
+  /// first-wave flows, and rejecting it rejects flows already committed.
+  double wave_delay = 0.0;
+  std::vector<FlowGen> wave;
 };
 
 std::ostream& operator<<(std::ostream& os, const TaskGen& t) {
@@ -51,7 +64,15 @@ std::ostream& operator<<(std::ostream& os, const TaskGen& t) {
   for (const FlowGen& f : t.flows) {
     os << "(" << f.src << "->" << f.dst << " sz=" << f.size << ")";
   }
-  return os << "]}";
+  os << "]";
+  if (!t.wave.empty()) {
+    os << " wave@+" << t.wave_delay << "=[";
+    for (const FlowGen& f : t.wave) {
+      os << "(" << f.src << "->" << f.dst << " sz=" << f.size << ")";
+    }
+    os << "]";
+  }
+  return os << "}";
 }
 
 /// A unit-capacity topology (sizes read as seconds) plus the host lists a
@@ -79,6 +100,19 @@ Endpoints fat_tree() {
   return {std::move(ft), hosts, hosts};
 }
 
+// Share of scenarios whose deadlines sit on the grid below.
+constexpr double kGridShare = 0.3;
+// Share of tasks that get a second wave.
+constexpr double kWaveShare = 0.2;
+constexpr double kDeadlineGrid = 0.5;
+
+/// Round every deadline up to the grid, so tasks tie on deadlines.
+void snap_deadlines(std::vector<TaskGen>& tasks) {
+  for (TaskGen& t : tasks) {
+    t.slack = std::ceil((t.arrival + t.slack) / kDeadlineGrid) * kDeadlineGrid - t.arrival;
+  }
+}
+
 std::vector<TaskGen> gen_dumbbell_scenario(util::Rng& rng) {
   std::vector<TaskGen> tasks;
   const int n = static_cast<int>(rng.uniform_int(2, 14));
@@ -100,8 +134,15 @@ std::vector<TaskGen> gen_dumbbell_scenario(util::Rng& rng) {
                   static_cast<std::size_t>(rng.uniform_int(0, kSide - 1)),
                   rng.uniform_real(0.2, 2.0)});
     }
+    if (rng.bernoulli(kWaveShare)) {
+      task.wave_delay = rng.uniform_real(0.05, 0.6) * task.slack;
+      task.wave.push_back(FlowGen{static_cast<std::size_t>(rng.uniform_int(0, kSide - 1)),
+                                  static_cast<std::size_t>(rng.uniform_int(0, kSide - 1)),
+                                  rng.uniform_real(0.2, 1.0)});
+    }
     tasks.push_back(std::move(task));
   }
+  if (rng.bernoulli(kGridShare)) snap_deadlines(tasks);
   return tasks;
 }
 
@@ -135,8 +176,17 @@ std::vector<TaskGen> gen_hotspot_scenario(util::Rng& rng) {
                                   : static_cast<double>(rng.uniform_int(1, 4)) * 0.5;
       task.flows.push_back(f);
     }
+    if (rng.bernoulli(kWaveShare)) {
+      FlowGen f = task.flows.front();
+      f.dst = (f.dst + 1 + static_cast<std::size_t>(rng.uniform_int(0, kFatTreeHosts - 3))) %
+              kFatTreeHosts;
+      if (f.dst == f.src) f.dst = (f.dst + 1) % kFatTreeHosts;
+      task.wave_delay = rng.uniform_real(0.05, 0.6) * task.slack;
+      task.wave.push_back(f);
+    }
     tasks.push_back(std::move(task));
   }
+  if (rng.bernoulli(kGridShare)) snap_deadlines(tasks);
   return tasks;
 }
 
@@ -148,7 +198,8 @@ struct ScenarioRun {
 };
 
 template <typename Scheduler>
-ScenarioRun<Scheduler> run_scenario(Endpoints (*make)(), const std::vector<TaskGen>& tasks) {
+ScenarioRun<Scheduler> run_scenario(Endpoints (*make)(), const std::vector<TaskGen>& tasks,
+                                    PreemptPolicy policy = PreemptPolicy::kProgress) {
   Endpoints e = make();
   ScenarioRun<Scheduler> r;
   r.net = std::make_unique<net::Network>(*e.topo);
@@ -157,30 +208,46 @@ ScenarioRun<Scheduler> run_scenario(Endpoints (*make)(), const std::vector<TaskG
     for (const FlowGen& f : t.flows) {
       flows.push_back(test::flow(e.srcs[f.src], e.dsts[f.dst], f.size));
     }
-    test::add_task(*r.net, t.arrival, t.arrival + t.slack, std::move(flows));
+    const net::TaskId id = test::add_task(*r.net, t.arrival, t.arrival + t.slack, std::move(flows));
+    if (!t.wave.empty()) {
+      std::vector<net::FlowSpec> wave;
+      for (const FlowGen& f : t.wave) {
+        wave.push_back(test::flow(e.srcs[f.src], e.dsts[f.dst], f.size));
+      }
+      r.net->extend_task(id, t.arrival + t.wave_delay, wave);
+    }
   }
   r.topo = std::move(e.topo);
   TapsConfig cfg;
   cfg.trim_interval = 4;  // exercise the trim cadence under the comparison
+  cfg.preempt_policy = policy;
   r.sched = std::make_unique<Scheduler>(cfg);
   (void)test::run(*r.net, *r.sched);
   return r;
 }
 
+/// Both reject-rule readings: kSchedulable is the one that preempts
+/// newcomers' rivals, and so the one that reaches session restarts.
 std::optional<std::string> matches_oracle(Endpoints (*make)(),
                                           const std::vector<TaskGen>& tasks) {
-  const auto taps = run_scenario<TapsScheduler>(make, tasks);
-  const auto oracle = run_scenario<FullReplanOracle>(make, tasks);
-  return test::compare_with_oracle(*taps.net, *taps.sched, *oracle.net, *oracle.sched);
+  for (const PreemptPolicy policy : {PreemptPolicy::kProgress, PreemptPolicy::kSchedulable}) {
+    const auto taps = run_scenario<TapsScheduler>(make, tasks, policy);
+    const auto oracle = run_scenario<FullReplanOracle>(make, tasks, policy);
+    if (auto diff = test::compare_with_oracle(*taps.net, *taps.sched, *oracle.net, *oracle.sched)) {
+      return std::string(policy == PreemptPolicy::kProgress ? "kProgress: " : "kSchedulable: ") +
+             *diff;
+    }
+  }
+  return std::nullopt;
 }
 
-TAPS_PROP(TapsIncrementalProp, BitIdenticalToFullReplan, 150) {
+TAPS_PROP(TapsIncrementalProp, BitIdenticalToFullReplan, 300) {
   prop.for_all(gen_dumbbell_scenario, [](const std::vector<TaskGen>& tasks) {
     return matches_oracle(dumbbell, tasks);
   });
 }
 
-TAPS_PROP(TapsIncrementalProp, FatTreeHotspotsBitIdenticalToFullReplan, 150) {
+TAPS_PROP(TapsIncrementalProp, FatTreeHotspotsBitIdenticalToFullReplan, 300) {
   prop.for_all(gen_hotspot_scenario, [](const std::vector<TaskGen>& tasks) {
     return matches_oracle(fat_tree, tasks);
   });
@@ -206,6 +273,34 @@ TEST(TapsIncrementalProp, ReuseActuallyHappensInAggregate) {
   }
   EXPECT_GT(reused, 0u);
   EXPECT_LT(planned_taps, planned_oracle);
+}
+
+TEST(TapsIncrementalProp, PreemptionAndRestartHappenInAggregate) {
+  // Guard against the properties above silently never reaching preemption
+  // validation or a session restart: on grid deadlines under kSchedulable,
+  // a fixed batch of scenarios of each family must preempt, and some
+  // preemption victim must own an adopted flow. Each scenario still has to
+  // match the oracle.
+  util::Rng rng(0x5EED);
+  std::size_t preempted = 0;
+  std::size_t restarts = 0;
+  for (int i = 0; i < 300; ++i) {
+    for (const bool hotspot : {false, true}) {
+      std::vector<TaskGen> tasks = hotspot ? gen_hotspot_scenario(rng) : gen_dumbbell_scenario(rng);
+      snap_deadlines(tasks);
+      Endpoints (*make)() = hotspot ? fat_tree : dumbbell;
+      const auto taps = run_scenario<TapsScheduler>(make, tasks, PreemptPolicy::kSchedulable);
+      const auto oracle =
+          run_scenario<FullReplanOracle>(make, tasks, PreemptPolicy::kSchedulable);
+      ASSERT_EQ(test::compare_with_oracle(*taps.net, *taps.sched, *oracle.net, *oracle.sched),
+                std::nullopt)
+          << "scenario " << i << (hotspot ? " (hotspot)" : " (dumbbell)");
+      preempted += taps.sched->counters().tasks_preempted;
+      restarts += taps.sched->counters().session_restarts;
+    }
+  }
+  EXPECT_GT(preempted, 0u);
+  EXPECT_GT(restarts, 0u);
 }
 
 }  // namespace

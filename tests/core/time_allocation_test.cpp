@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace taps::core {
 namespace {
 
@@ -72,6 +74,26 @@ TEST(TimeAllocation, ZeroDurationInfeasible) {
 TEST(TimeAllocation, HorizonBeforeNowInfeasible) {
   const OccupancyMap occ(1);
   EXPECT_FALSE(allocate_time(occ, path_of({0}), 5.0, 1.0, 4.0).feasible());
+}
+
+TEST(TimeAllocation, RoundingResidueEndsTheAllocationWithoutAnEmptySlice) {
+  // The idle gap before a busy interval is one ulp shorter than the demand,
+  // so filling it leaves ~1.4e-17 s, less than half an ulp of 1.0 where the
+  // next gap starts: no slice can carry it. The allocation must end at the
+  // first gap, not add the empty slice [1, 1) and report completion 1.
+  const double gap_end = std::nextafter(0.1, 0.0);
+  OccupancyMap occ(1);
+  util::IntervalSet busy;
+  busy.insert(gap_end, 1.0);
+  occ.occupy(path_of({0}), busy);
+  const util::IntervalSet want{util::Interval{0.0, gap_end}};
+
+  const TimeAllocation a = allocate_time(occ, path_of({0}), 0.0, 0.1, 10.0);
+  ASSERT_TRUE(a.feasible());
+  EXPECT_EQ(a.slices, want);
+  EXPECT_TRUE(a.slices.check_invariants());
+  EXPECT_EQ(a.completion, gap_end);
+  EXPECT_EQ(occ.link(0).allocate_earliest(0.0, 0.1, 10.0), want);
 }
 
 }  // namespace
