@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/full_replan_oracle.hpp"
 #include "core/path_allocation.hpp"
 #include "core/taps_scheduler.hpp"
 #include "exp/experiment.hpp"
@@ -78,7 +79,7 @@ void bench_path_union(BenchRunner& runner, std::size_t slices_per_link) {
     occ.occupy(single, s);
   }
   runner.run("occupancy/path_union/slices=" + std::to_string(slices_per_link),
-             [&] { do_not_optimize(occ.path_union(path)); });
+             [&] { do_not_optimize(core::path_union(occ, path)); });
 }
 
 /// Whole-task planning cost on the scaled tree (Algorithm 1's inner loop).

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/full_replan_oracle.hpp"
 #include "core/occupancy.hpp"
 #include "core/path_allocation.hpp"
 #include "core/taps_scheduler.hpp"
@@ -120,7 +121,7 @@ void bench_occupancy(BenchRunner& runner, bool quick) {
   }
   {
     runner.run("occupancy/path_union", [&] {
-      do_not_optimize(occ.path_union(path));
+      do_not_optimize(taps::core::path_union(occ, path));
     });
   }
 }

@@ -1,9 +1,9 @@
 // Simulation-engine scale benchmark: fat-tree workloads from 10k to 1M
-// flows pushed through FluidSimulator under both engines —
-//   - sim_scale/<preset>/indexed:   SimEngine::kIndexed (the default),
-//   - sim_scale/<preset>/reference: SimEngine::kReference (the oracle loop;
-//     skipped at the 1M preset, where its O(active)-per-event rescan is the
-//     point of the exercise, not a number worth waiting for).
+// flows pushed through both event loops —
+//   - sim_scale/<preset>/indexed:   sim::FluidSimulator,
+//   - sim_scale/<preset>/reference: sim::ReferenceSimulator (taps_oracle's
+//     loop; skipped at the 1M preset, where its O(active)-per-event rescan
+//     is the point of the exercise, not a number worth waiting for).
 // One sample = seconds per simulator event for one full run (fresh network
 // and workload per repeat; construction and generation are untimed), so the
 // gated quantity tracks per-event engine cost, not workload size. Derived
@@ -30,6 +30,7 @@
 #include "bench_common.hpp"
 #include "core/taps_scheduler.hpp"
 #include "net/network.hpp"
+#include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "topo/fattree.hpp"
 #include "util/rng.hpp"
@@ -87,8 +88,8 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   return h;
 }
 
-RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_t seed,
-                    taps::sim::SimEngine engine) {
+template <typename Simulator>
+RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_t seed) {
   taps::net::Network net(ft);
   taps::util::Rng rng(seed);
   (void)taps::workload::generate(net, workload_for(p), rng);
@@ -105,7 +106,7 @@ RunOutcome run_once(const taps::topo::FatTree& ft, const Preset& p, std::uint64_
   // per-event numbers at these task widths. Identical for both engines.
   cfg.max_paths = 8;
   taps::core::TapsScheduler scheduler(cfg);
-  taps::sim::FluidSimulator simulator(net, scheduler, engine);
+  Simulator simulator(net, scheduler);
 
   const auto t0 = std::chrono::steady_clock::now();
   const taps::sim::SimStats stats = simulator.run();
@@ -144,16 +145,16 @@ struct EngineResult {
   std::uint64_t fingerprint = 0;
 };
 
+template <typename Simulator>
 EngineResult bench_engine(BenchRunner& runner, const taps::topo::FatTree& ft,
                           const Preset& p, std::uint64_t seed, std::size_t repeats,
-                          taps::sim::SimEngine engine) {
-  const std::string name =
-      "sim_scale/" + p.name + "/" + taps::sim::to_string(engine);
+                          const char* loop) {
+  const std::string name = "sim_scale/" + p.name + "/" + loop;
   std::vector<double> samples;
   samples.reserve(repeats);
   RunOutcome last;
   for (std::size_t r = 0; r < repeats; ++r) {
-    last = run_once(ft, p, taps::util::hash_combine(seed, r), engine);
+    last = run_once<Simulator>(ft, p, taps::util::hash_combine(seed, r));
     samples.push_back(last.seconds / static_cast<double>(last.stats.events));
   }
   const double median = runner.add_samples(name, std::move(samples)).median;
@@ -217,11 +218,11 @@ int main(int argc, char** argv) {
   for (const Preset& p : presets) {
     const taps::topo::FatTree ft(
         taps::topo::FatTreeConfig{p.k, taps::topo::kGigabitPerSecond});
-    const EngineResult indexed =
-        bench_engine(runner, ft, p, o.seed, o.repeats, taps::sim::SimEngine::kIndexed);
+    const EngineResult indexed = bench_engine<taps::sim::FluidSimulator>(
+        runner, ft, p, o.seed, o.repeats, "indexed");
     if (p.both_engines) {
-      const EngineResult reference = bench_engine(runner, ft, p, o.seed, o.repeats,
-                                                  taps::sim::SimEngine::kReference);
+      const EngineResult reference = bench_engine<taps::sim::ReferenceSimulator>(
+          runner, ft, p, o.seed, o.repeats, "reference");
       if (indexed.fingerprint != reference.fingerprint) {
         std::cerr << "bench_sim_scale: ENGINE DIVERGENCE at preset " << p.name
                   << " (indexed fingerprint != reference fingerprint)\n";

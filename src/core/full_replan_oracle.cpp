@@ -10,11 +10,20 @@ using net::FlowState;
 using net::TaskId;
 using net::TaskState;
 
+util::IntervalSet path_union(const OccupancyMap& occupancy, const topo::Path& path) {
+  util::IntervalSet out;
+  for (const topo::LinkId lid : path.links) {
+    const auto& set = occupancy.link(lid);
+    if (!set.empty()) out = out.unite(set);
+  }
+  return out;
+}
+
 TimeAllocation allocate_time_reference(const OccupancyMap& occupancy, const topo::Path& path,
                                        double now, double duration, double horizon) {
   TimeAllocation out;
   if (duration <= 0.0 || horizon <= now) return out;
-  const util::IntervalSet t_ocp = occupancy.path_union(path);
+  const util::IntervalSet t_ocp = path_union(occupancy, path);
   out.slices = t_ocp.allocate_earliest(now, duration, horizon);
   if (!out.slices.empty()) out.completion = out.slices.back_end();
   return out;
@@ -41,7 +50,7 @@ FlowPlan flat_path_race(const net::Network& net, const OccupancyMap& occupancy, 
     double lower_bound = now;
     bool hopeless = false;
     for (const topo::LinkId lid : p.links) {
-      lower_bound = std::max(lower_bound, occupancy.single_link_completion(lid, now, duration));
+      lower_bound = std::max(lower_bound, pruning_link_bound(occupancy, lid, now, duration));
       if (lower_bound > horizon + kLbSlack || lower_bound > best_completion + kLbSlack) {
         hopeless = true;
         break;
@@ -60,6 +69,29 @@ FlowPlan flat_path_race(const net::Network& net, const OccupancyMap& occupancy, 
     }
   }
   return plan;
+}
+
+std::vector<FlowPlan> plan_flows(const net::Network& net, OccupancyMap& occupancy,
+                                 std::span<const FlowId> order, double now,
+                                 const PlanConfig& config, PlanScratch* scratch) {
+  std::vector<FlowPlan> plans;
+  plans.reserve(order.size());
+  for (const FlowId fid : order) {
+    FlowPlan plan = plan_one_flow(net, occupancy, fid, now, config, scratch);
+    if (plan.feasible) occupancy.occupy(plan.path, plan.slices);
+    plans.push_back(std::move(plan));
+  }
+  return plans;
+}
+
+void sort_edf_sjf(const net::Network& net, std::vector<FlowId>& flows) {
+  std::sort(flows.begin(), flows.end(), [&net](FlowId a, FlowId b) {
+    const Flow& fa = net.flow(a);
+    const Flow& fb = net.flow(b);
+    if (fa.spec.deadline != fb.spec.deadline) return fa.spec.deadline < fb.spec.deadline;
+    if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
+    return a < b;
+  });
 }
 
 void FullReplanOracle::bind(net::Network& net) {

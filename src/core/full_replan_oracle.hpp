@@ -1,5 +1,6 @@
-// Reference implementations that exist only to prove the production paths
-// equivalent; compiled into taps_oracle, never into taps_core.
+// Reference implementations that prove the production paths equivalent, and
+// the textbook planner helpers tests and microbenchmarks call; compiled into
+// taps_oracle, never into taps_core.
 //
 // FullReplanOracle is Algorithm 1 written the obvious way: every replan
 // sorts its flows EDF+SJF (sort_edf_sjf), plans them one by one through a
@@ -10,11 +11,17 @@
 // (tests/core/taps_incremental_prop_test.cpp, tests/common/taps_equiv.hpp).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/taps_scheduler.hpp"
 
 namespace taps::core {
+
+/// Union of the occupied sets of all links on `path` (the paper's T_ocp):
+/// its complement is the time when the whole path is idle end-to-end.
+[[nodiscard]] util::IntervalSet path_union(const OccupancyMap& occupancy,
+                                           const topo::Path& path);
 
 /// The textbook Algorithm 3 (materialize T_ocp, then allocate_earliest).
 /// Bit-identical results to allocate_time; slower on fragmented occupancy.
@@ -30,6 +37,18 @@ namespace taps::core {
 /// slices and completion bitwise. Does not commit.
 [[nodiscard]] FlowPlan flat_path_race(const net::Network& net, const OccupancyMap& occupancy,
                                       net::FlowId fid, double now, const PlanConfig& config);
+
+/// Plan every flow in `order` (the caller sorts by EDF+SJF) through
+/// plan_one_flow, committing each feasible flow's slices into `occupancy`
+/// before planning the next (the planner microbenchmarks time this).
+[[nodiscard]] std::vector<FlowPlan> plan_flows(const net::Network& net, OccupancyMap& occupancy,
+                                               std::span<const net::FlowId> order, double now,
+                                               const PlanConfig& config,
+                                               PlanScratch* scratch = nullptr);
+
+/// Sort flow ids by the paper's scheduling discipline: EDF first (earlier
+/// deadline), SJF tie-break (smaller remaining size), then flow id.
+void sort_edf_sjf(const net::Network& net, std::vector<net::FlowId>& flows);
 
 // taps-threading: single-domain -- scheduler state advances under one simulation domain
 class FullReplanOracle : public sched::BaseScheduler {

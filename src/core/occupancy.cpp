@@ -40,15 +40,6 @@ std::size_t OccupancyMap::first_index_after(topo::LinkId id, double from) const 
   return idx;
 }
 
-util::IntervalSet OccupancyMap::path_union(const topo::Path& path) const {
-  util::IntervalSet out;
-  for (const topo::LinkId lid : path.links) {
-    const auto& set = by_link_[static_cast<std::size_t>(lid)];
-    if (!set.empty()) out = out.unite(set);
-  }
-  return out;
-}
-
 void OccupancyMap::occupy(const topo::Path& path, const util::IntervalSet& slices,
                           OccupancyJournal* journal) {
   assert(!collides(path, slices));

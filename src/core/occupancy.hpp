@@ -70,10 +70,6 @@ class OccupancyMap {
     return by_link_[static_cast<std::size_t>(id)];
   }
 
-  /// Union of the occupied sets of all links on `path` (the paper's T_ocp):
-  /// its complement is the time when the whole path is idle end-to-end.
-  [[nodiscard]] util::IntervalSet path_union(const topo::Path& path) const;
-
   /// Index of the first interval of `link(id)` with hi > from, answered via
   /// the per-link hint cache (falls back to binary search on miss).
   [[nodiscard]] std::size_t first_index_after(topo::LinkId id, double from) const;
@@ -81,9 +77,9 @@ class OccupancyMap {
   /// Earliest completion of a `need`-second allocation considering ONLY link
   /// `id` (single-link Algorithm 3, no horizon). A path's idle time is the
   /// intersection of its links' idle time, so this lower-bounds the
-  /// completion on ANY path through the link; plan_one_flow takes the max
-  /// over a candidate's links to skip candidates that provably cannot beat
-  /// the incumbent. O(log n) per query via a lazily rebuilt per-link
+  /// completion on ANY path through the link, except where a gap falls short
+  /// of `need` by a residue Algorithm 3 forgives as rounding (see
+  /// pruning_link_bound). O(log n) per query via a lazily rebuilt per-link
   /// prefix-busy cache (invalidated on mutation, like the hints). The value
   /// carries prefix-summation rounding of at most ~n*ulp — callers must
   /// compare against bounds with a slack exceeding that (see kLbSlack).

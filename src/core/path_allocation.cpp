@@ -40,7 +40,7 @@ const std::vector<topo::Path>& cached_candidates(const net::Network& net, const 
 }
 
 /// Link `lid`'s occupancy from the first interval with hi > now on; the
-/// scans that read it stop at their own bound.
+/// scans that read it stop at the horizon.
 Range link_tail(const OccupancyMap& occupancy, topo::LinkId lid, double now) {
   const auto& ivs = occupancy.link(lid).intervals();
   return Range{ivs.data() + occupancy.first_index_after(lid, now), ivs.data() + ivs.size()};
@@ -114,9 +114,10 @@ void build_candidate_tree(std::span<const topo::Path> candidates, CandidateTree&
 //    restricted ranges, merged once.
 //  - Groups: each multi-member group merges its shared links into the root
 //    union once and runs a relaxed IdleScan on it, with the smallest member
-//    duration and horizon + kLbSlack. A member's union contains the group
-//    union, so its completion is at least that bound (up to rounding, which
-//    kLbSlack covers); a single-member group uses its single-link bound.
+//    duration less kLbSlack and horizon + kLbSlack. A member's union
+//    contains the group union, so its completion is at least that bound (up
+//    to rounding, which kLbSlack covers); a single-member group uses its
+//    single-link bound.
 //  - Visit groups in bound order and prune the rest once a bound exceeds
 //    the best completion by more than kLbSlack: no pruned member could have
 //    finished at or before it.
@@ -127,10 +128,10 @@ void build_candidate_tree(std::span<const topo::Path> candidates, CandidateTree&
 //    any other member must beat best strictly.
 //
 // Every range is built as allocate_time_into builds it (first interval with
-// hi > now), and a scan ignores intervals with lo >= its own stop, so a
-// union merged under the looser stop (the horizon) reads as if restricted
-// to the tighter one. The chosen path, slices and completion are therefore
-// the flat race's, bit for bit (tests/core/candidate_tree_prop_test.cpp).
+// hi > now) and every scan stops at the horizon, so a leaf scan reads what
+// allocate_time_into's would. The chosen path, slices and completion are
+// therefore the flat race's, bit for bit
+// (tests/core/candidate_tree_prop_test.cpp).
 FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, FlowId fid,
                        double now, const PlanConfig& config, PlanScratch* scratch) {
   const Flow& f = net.flow(fid);
@@ -172,8 +173,7 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
   for (std::size_t pos = 0; pos < first_path.links.size(); ++pos) {
     if (!in_mask(tree.root, pos)) continue;
     const topo::LinkId lid = first_path.links[pos];
-    root_bound =
-        std::max(root_bound, occupancy.single_link_completion(lid, now, min_duration));
+    root_bound = std::max(root_bound, pruning_link_bound(occupancy, lid, now, min_duration));
     if (root_bound > horizon + kLbSlack) return plan;
     ranges.push_back(restricted_range(occupancy, lid, now, horizon));
   }
@@ -197,7 +197,7 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
     for (std::size_t pos = 0; pos < lead.links.size() && !hopeless; ++pos) {
       if (!in_mask(group.shared, pos)) continue;
       const topo::LinkId lid = lead.links[pos];
-      link_bound = std::max(link_bound, occupancy.single_link_completion(lid, now, duration));
+      link_bound = std::max(link_bound, pruning_link_bound(occupancy, lid, now, duration));
       hopeless = link_bound > horizon + kLbSlack;
       ranges.push_back(restricted_range(occupancy, lid, now, horizon));
     }
@@ -206,7 +206,8 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
     if (group.last - group.first > 1 && group.shared != 0) {
       std::vector<util::Interval>& shared = sc.group_unions[g];
       unite_ranges(ranges, shared, sc.time_alloc.bufs[0]);
-      IdleScan relaxed(now, duration, horizon + kLbSlack, sim::kInfinity, nullptr);
+      // Relaxed like the single-link bounds: for the demand less kLbSlack.
+      IdleScan relaxed(now, duration - kLbSlack, horizon + kLbSlack, sim::kInfinity, nullptr);
       for (const util::Interval& busy : shared) {
         if (!relaxed.feed(busy)) break;
       }
@@ -244,8 +245,7 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
         if (in_mask(in_base, pos)) continue;
         const topo::LinkId lid = p.links[pos];
         if (!in_mask(in_bound, pos)) {
-          lower_bound =
-              std::max(lower_bound, occupancy.single_link_completion(lid, now, duration));
+          lower_bound = std::max(lower_bound, pruning_link_bound(occupancy, lid, now, duration));
           hopeless = lower_bound > horizon + kLbSlack || lower_bound > best + kLbSlack;
         }
         ranges.push_back(link_tail(occupancy, lid, now));
@@ -256,7 +256,7 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
       IdleScan scan(now, duration, horizon, bound, &trial);
       ++plan.paths_evaluated;
       double completion = 0.0;
-      if (scan_streams(ranges, std::min(bound, horizon), scan, completion)) {
+      if (scan_streams(ranges, horizon, scan, completion)) {
         best = completion;
         best_index = i;
         std::swap(plan.slices, trial);
@@ -269,29 +269,6 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
     plan.feasible = true;
   }
   return plan;
-}
-
-std::vector<FlowPlan> plan_flows(const net::Network& net, OccupancyMap& occupancy,
-                                 std::span<const FlowId> order, double now,
-                                 const PlanConfig& config, PlanScratch* scratch) {
-  std::vector<FlowPlan> plans;
-  plans.reserve(order.size());
-  for (const FlowId fid : order) {
-    FlowPlan plan = plan_one_flow(net, occupancy, fid, now, config, scratch);
-    if (plan.feasible) occupancy.occupy(plan.path, plan.slices);
-    plans.push_back(std::move(plan));
-  }
-  return plans;
-}
-
-void sort_edf_sjf(const net::Network& net, std::vector<FlowId>& flows) {
-  std::sort(flows.begin(), flows.end(), [&net](FlowId a, FlowId b) {
-    const Flow& fa = net.flow(a);
-    const Flow& fb = net.flow(b);
-    if (fa.spec.deadline != fb.spec.deadline) return fa.spec.deadline < fb.spec.deadline;
-    if (fa.remaining != fb.remaining) return fa.remaining < fb.remaining;
-    return a < b;
-  });
 }
 
 }  // namespace taps::core

@@ -30,6 +30,15 @@ namespace taps::core {
 /// the full evaluation could still pick.
 inline constexpr double kLbSlack = 1e-6;
 
+/// Lower bound, for pruning, on a `need`-second allocation's completion on
+/// any path through `lid`, exceeding it by at most kLbSlack: taken for the
+/// demand less kLbSlack, since at an exact fit the full demand's lands a
+/// whole busy interval late (OccupancyMap::single_link_completion).
+[[nodiscard]] inline double pruning_link_bound(const OccupancyMap& occupancy, topo::LinkId lid,
+                                               double now, double need) {
+  return occupancy.single_link_completion(lid, now, need - kLbSlack);
+}
+
 // taps-threading: thread-compatible
 struct PlanConfig {
   /// Cap on candidate paths per flow (see DESIGN.md on fat-tree path counts).
@@ -129,16 +138,5 @@ struct FlowPlan {
 [[nodiscard]] FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy,
                                      net::FlowId fid, double now, const PlanConfig& config,
                                      PlanScratch* scratch = nullptr);
-
-/// Plan every flow in `order` (the caller sorts by EDF+SJF), committing each
-/// feasible flow's slices into `occupancy` before planning the next.
-[[nodiscard]] std::vector<FlowPlan> plan_flows(const net::Network& net, OccupancyMap& occupancy,
-                                               std::span<const net::FlowId> order, double now,
-                                               const PlanConfig& config,
-                                               PlanScratch* scratch = nullptr);
-
-/// Sort flow ids by the paper's scheduling discipline: EDF first (earlier
-/// deadline), SJF tie-break (smaller remaining size), then flow id.
-void sort_edf_sjf(const net::Network& net, std::vector<net::FlowId>& flows);
 
 }  // namespace taps::core

@@ -70,7 +70,7 @@ void unite_ranges(std::vector<Range>& ranges, std::vector<util::Interval>& out,
   }
 }
 
-bool scan_streams(std::span<Range> streams, double stop, IdleScan& scan, double& completion) {
+bool scan_streams(std::span<Range> streams, double horizon, IdleScan& scan, double& completion) {
   std::size_t n = 0;
   for (const Range& r : streams) {
     if (!r.empty()) streams[n++] = r;
@@ -83,38 +83,35 @@ bool scan_streams(std::span<Range> streams, double stop, IdleScan& scan, double&
     for (std::size_t k = 1; k < n; ++k) {
       if (streams[k].first->lo < streams[m].first->lo) m = k;
     }
-    if (streams[m].first->lo >= stop || !scan.feed(*streams[m].first)) break;
+    if (streams[m].first->lo >= horizon || !scan.feed(*streams[m].first)) break;
     if (++streams[m].first == streams[m].last) streams[m] = streams[--n];
   }
   return scan.finish(completion);
 }
 
 // Fused TimeAllocation: materialize T_ocp restricted to the only window
-// that can matter — [now, min(completion_bound, horizon)) — into reused
-// scratch, then run IdleScan over it. Identical output to the reference:
+// that can matter — [now, horizon) — into reused scratch, then run IdleScan
+// over it. Identical output to the reference:
 //
 //  - Each link's range starts at its earliest-free hint (first interval
 //    with hi > now); a dropped earlier interval can only retreat a merged
 //    interval's lo, and allocate_earliest never reads structure at or below
 //    `now` (the first surviving interval's lo is always <= now when it was
 //    merged with a dropped one).
-//  - Intervals with lo >= stop are dropped: before the scan can consult
-//    them its cursor satisfies cursor + need >= lo >= stop, which is either
-//    a bound abort (stop == completion_bound) or horizon infeasibility
-//    (stop == horizon) — decided identically without them.
+//  - Intervals with lo >= horizon are dropped: the scan takes idle time
+//    only below the horizon. Those past completion_bound stay: they decide
+//    whether an exact fit's rounding residue is forgiven.
 //  - Union order is irrelevant (canonical interval-set form is unique), so
 //    folding smallest-range-first matches path_union's link-order fold.
 //
-// The restriction skips the far tail a deep occupancy accumulates past the
-// incumbent completion, the scratch buffers kill the per-call allocations
-// path_union pays, and the abort stops losing candidates early.
+// The scratch buffers kill the per-call allocations path_union pays, and
+// the abort stops losing candidates early.
 bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path, double now,
                         double duration, double horizon, double completion_bound,
                         util::IntervalSet& slices, double& completion,
                         TimeAllocScratch* scratch) {
   slices.clear();
   if (duration <= 0.0 || horizon <= now) return false;
-  const double stop = std::min(completion_bound, horizon);
 
   // Hot callers pass persistent scratch so the buffers are allocation-free
   // in steady state; scratch-less calls pay a local one.
@@ -122,7 +119,7 @@ bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path, d
   TimeAllocScratch& sc = scratch != nullptr ? *scratch : local_scratch;
   sc.ranges.clear();
   for (const topo::LinkId lid : path.links) {
-    sc.ranges.push_back(restricted_range(occupancy, lid, now, stop));
+    sc.ranges.push_back(restricted_range(occupancy, lid, now, horizon));
   }
   unite_ranges(sc.ranges, sc.bufs[0], sc.bufs[1]);
 

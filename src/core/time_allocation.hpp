@@ -14,8 +14,7 @@
 //
 //  - allocate_time materializes T_ocp restricted to the window that can
 //    matter — each link's range starts at its earliest-free hint and stops
-//    at min(completion_bound, horizon) — into reused scratch buffers, then
-//    scans it;
+//    at the horizon — into reused scratch buffers, then scans it;
 //  - Algorithm 2's candidate tree (path_allocation.cpp) scans a shared
 //    partial union merged on the fly with a candidate's remaining link
 //    ranges (scan_streams), and scans partial unions alone for its subtree
@@ -28,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <vector>
@@ -50,22 +50,27 @@ struct TimeAllocation {
 /// scan without building their union first. The scan takes the earliest
 /// idle time from `now` until `duration` seconds are allocated, and decides
 /// infeasible when the idle time before `horizon` falls short or — the
-/// branch-and-bound cutoff — as soon as the completion provably cannot be
-/// < `bound` (the remaining demand lands at or after the cursor, so
-/// completion >= cursor + need). A feasible result always has
-/// completion < bound. `slices` may be null when only the completion is
-/// wanted (a lower-bound scan).
+/// branch-and-bound cutoff — when the completion is not < `bound`: the
+/// unbounded result if its completion lies below the bound, else an abort
+/// (early, once provably out of reach), given every interval below the
+/// horizon. `slices` may be null when only the completion is wanted (a
+/// lower-bound scan).
 // taps-threading: thread-compatible -- a stack value owned by one scan.
 class IdleScan {
  public:
   IdleScan(double now, double duration, double horizon, double bound, util::IntervalSet* slices)
-      : cursor_(now), need_(duration), horizon_(horizon), bound_(bound), slices_(slices) {}
+      : cursor_(now),
+        need_(duration),
+        horizon_(horizon),
+        bound_(bound),
+        forgivable_(4.0 * std::max(1e-12, std::abs(horizon) * 0x1p-52)),
+        slices_(slices) {}
 
   /// Consume the next busy interval. Returns false once the outcome no
   /// longer depends on later intervals; call finish() then (or after the
   /// last interval).
   bool feed(const util::Interval& busy) {
-    if (cursor_ + need_ >= bound_) {
+    if (beyond_bound()) {
       state_ = State::kAborted;
       return false;
     }
@@ -86,14 +91,11 @@ class IdleScan {
   /// slices cleared.
   bool finish(double& completion) {
     if (state_ == State::kOpen) {
-      if (cursor_ + need_ >= bound_) {
-        state_ = State::kAborted;
-      } else {
-        if (cursor_ < horizon_) take(horizon_);
-        // Insufficient idle time before the horizon (up to rounding).
-        state_ = need_ > 1e-12 || !took_ ? State::kAborted : State::kDone;
-      }
+      if (cursor_ < horizon_ && !beyond_bound()) take(horizon_);
+      // Insufficient idle time before the horizon (up to rounding).
+      state_ = need_ > 1e-12 || !took_ ? State::kAborted : State::kDone;
     }
+    if (state_ == State::kDone && !(end_ < bound_)) state_ = State::kAborted;
     if (state_ == State::kAborted) {
       if (slices_ != nullptr) slices_->clear();
       return false;
@@ -104,6 +106,13 @@ class IdleScan {
 
  private:
   enum class State : unsigned char { kOpen, kDone, kAborted };
+
+  /// The completion provably cannot be < bound, even if a later take or the
+  /// horizon forgives a rounding residue (ending the allocation at end_).
+  [[nodiscard]] bool beyond_bound() const {
+    if (took_ && need_ <= forgivable_) return end_ >= bound_;
+    return cursor_ + (need_ - forgivable_) >= bound_;
+  }
 
   /// Fill the idle gap [cursor, gap_end). cursor + take can round one ulp
   /// past gap_end, into the next busy interval: the slice ends at gap_end at
@@ -128,6 +137,8 @@ class IdleScan {
   double need_;
   double horizon_;
   double bound_;
+  /// Above what may still be forgiven (1e-12 s, or half an ulp), plus rounding.
+  double forgivable_;
   util::IntervalSet* slices_;
   double end_ = 0.0;
   bool took_ = false;
@@ -135,11 +146,9 @@ class IdleScan {
 };
 
 /// Caller-owned reusable buffers for allocate_time_into (the restricted
-/// per-link ranges and the two union-merge ping-pong buffers). Explicitly
-/// threaded through instead of hidden `thread_local` state so concurrent
-/// planners — the parallel per-pod advancement plan runs one per domain —
-/// each bring their own, with no cross-domain scratch in sight of the
-/// concurrency linter.
+/// per-link ranges and the two union-merge ping-pong buffers), passed in
+/// rather than hidden in `thread_local` state: every planner (one per shard
+/// or sweep cell) brings its own.
 // taps-threading: single-domain -- scratch owned by one planning domain.
 struct TimeAllocScratch {
   struct Range {
@@ -167,10 +176,10 @@ void unite_ranges(std::vector<TimeAllocScratch::Range>& ranges, std::vector<util
 
 /// Run `scan` over the k-way merge of `streams` (each sorted and internally
 /// disjoint, e.g. a union and raw link ranges), ignoring intervals with
-/// lo >= `stop` exactly as restricted_range would, and return its decision.
-/// Never materializes the union; stops at completion or abort. Consumes
-/// `streams`.
-[[nodiscard]] bool scan_streams(std::span<TimeAllocScratch::Range> streams, double stop,
+/// lo >= `horizon` exactly as restricted_range would, and return its
+/// decision. Never materializes the union; stops at completion or abort.
+/// Consumes `streams`.
+[[nodiscard]] bool scan_streams(std::span<TimeAllocScratch::Range> streams, double horizon,
                                 IdleScan& scan, double& completion);
 
 /// Allocate `duration` seconds on `path` starting at `now`, finishing no

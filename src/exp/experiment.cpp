@@ -123,7 +123,7 @@ std::unique_ptr<sim::Scheduler> make_scheduler(SchedulerKind kind, std::size_t m
 
 ExperimentRun run_experiment_full(const workload::Scenario& scenario, SchedulerKind kind,
                                   sim::TransmitObserver* observer,
-                                  sim::TimelineRecorder* timeline, sim::SimEngine engine) {
+                                  sim::TimelineRecorder* timeline) {
   ExperimentRun run;
   run.topology = workload::make_topology(scenario);
   run.network = std::make_unique<net::Network>(*run.topology);
@@ -134,7 +134,7 @@ ExperimentRun run_experiment_full(const workload::Scenario& scenario, SchedulerK
 
   run.scheduler = make_scheduler(kind, scenario.max_paths);
 
-  sim::FluidSimulator simulator(*run.network, *run.scheduler, engine);
+  sim::FluidSimulator simulator(*run.network, *run.scheduler);
   TeeObserver tee(observer, timeline);
   if (observer != nullptr && timeline != nullptr) {
     simulator.set_observer(&tee);

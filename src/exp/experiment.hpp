@@ -50,14 +50,11 @@ struct ExperimentRun {
 /// `timeline` recorder is attached to both the simulator (data-plane events;
 /// tee'd with `observer` when both are given) and, for schedulers that emit
 /// decision hooks, the scheduler (grants/preemptions) — recording is pure,
-/// so results are bit-identical with or without it. `engine` selects the
-/// simulator implementation; both produce identical results (the SimEffort
-/// columns of the metrics differ — see sim/simulator.hpp).
+/// so results are bit-identical with or without it.
 [[nodiscard]] ExperimentRun run_experiment_full(const workload::Scenario& scenario,
                                                 SchedulerKind kind,
                                                 sim::TransmitObserver* observer = nullptr,
-                                                sim::TimelineRecorder* timeline = nullptr,
-                                                sim::SimEngine engine = sim::SimEngine::kIndexed);
+                                                sim::TimelineRecorder* timeline = nullptr);
 
 /// Convenience wrapper returning just the result.
 [[nodiscard]] ExperimentResult run_experiment(const workload::Scenario& scenario,

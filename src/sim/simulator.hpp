@@ -6,18 +6,13 @@
 // changes (TAPS time-slice boundaries). This engine drives any Scheduler
 // over a Network and keeps byte accounting exact.
 //
-// Two engines produce bit-identical runs (pinned by
-// tests/sim/sim_engine_equiv_prop_test.cpp and the golden timelines):
-//
-//  - SimEngine::kIndexed (default): per-event work scales with the flows
-//    that are actually transmitting or changing, not with every active flow.
-//    A compacting "running" list (flows with rate > 0, ordered by enlist
-//    sequence) feeds the completion projection; a deadline min-heap is
-//    populated once per admission; the rate-dirty set drained from the
-//    Network's FlowStateArena reclassifies only flows whose rate moved in
-//    assign_rates. See DESIGN.md "Simulation engine".
-//  - SimEngine::kReference: the original O(active)-per-event rescan loop,
-//    kept as the oracle.
+// Per-event work scales with the flows that are actually transmitting or
+// changing, not with every active flow. A compacting "running" list (flows
+// with rate > 0, ordered by enlist sequence) feeds the completion
+// projection; a deadline min-heap is populated once per admission; the
+// rate-dirty set drained from the Network's FlowStateArena reclassifies only
+// flows whose rate moved in assign_rates. See DESIGN.md "Simulation engine".
+// taps_oracle's sim::ReferenceSimulator is the O(active) rescan it replays.
 #pragma once
 
 #include <cstdint>
@@ -93,21 +88,11 @@ class TransmitObserver {
   virtual void on_run_complete(const net::Network& /*net*/, double /*end_time*/) {}
 };
 
-/// Which event-loop implementation FluidSimulator::run uses. Both produce
-/// bit-identical schedules, timelines, and SimStats outcome fields; only the
-/// SimEffort work counters differ.
-enum class SimEngine : std::uint8_t {
-  kIndexed,    // indexed next-event structures (default)
-  kReference,  // original per-event O(active) rescan, kept as the oracle
-};
-
-[[nodiscard]] const char* to_string(SimEngine e);
-
 /// How much work the engine did, as opposed to what it computed. These are
-/// engine-dependent by design (the indexed engine exists to shrink them) and
-/// are excluded from engine-equivalence comparisons — the same convention as
-/// TapsCounters, which Shard::fingerprint excludes. Deterministic for a
-/// given engine and workload.
+/// loop-dependent by design (the indexed loop exists to shrink them) and
+/// are excluded from comparisons with the reference loop — the same
+/// convention as TapsCounters, which Shard::fingerprint excludes.
+/// Deterministic for a given loop and workload.
 // taps-threading: thread-compatible
 struct SimEffort {
   std::size_t flows_touched = 0;       // per-flow visits in the hot loops
@@ -122,33 +107,41 @@ struct SimStats {
   std::size_t events = 0;       // event-loop iterations
   std::size_t completions = 0;  // flows completed
   std::size_t misses = 0;       // flows that missed their deadline
-  SimEffort effort;             // engine work counters (engine-dependent)
+  SimEffort effort;             // engine work counters (loop-dependent)
 };
+
+/// Event-loop iterations after which a run is declared livelocked.
+inline constexpr std::size_t kMaxIterations = 200'000'000;
+
+/// One arrival event: a task (one wave of it) is announced at `time`.
+// taps-threading: thread-compatible
+struct Wave {
+  double time = 0.0;
+  net::TaskId task = 0;
+};
+
+/// Arrival events of every task in `net`, sorted by (time, task).
+[[nodiscard]] std::vector<Wave> build_waves(const net::Network& net);
+
+/// End-of-run census into `stats`, then on_run_complete (observer may be null).
+void finish_run(const net::Network& net, double end_time, SimStats& stats,
+                TransmitObserver* observer);
 
 // taps-threading: single-domain -- event loop state owned by one simulation domain
 class FluidSimulator {
  public:
-  FluidSimulator(net::Network& net, Scheduler& scheduler,
-                 SimEngine engine = SimEngine::kIndexed)
-      : net_(&net), scheduler_(&scheduler), engine_(engine) {}
+  FluidSimulator(net::Network& net, Scheduler& scheduler)
+      : net_(&net), scheduler_(&scheduler) {}
 
   void set_observer(TransmitObserver* observer) { observer_ = observer; }
-  void set_engine(SimEngine engine) { engine_ = engine; }
-  [[nodiscard]] SimEngine engine() const { return engine_; }
 
   /// Run to quiescence: all tasks arrived and no active flow remains.
   SimStats run();
 
-  [[nodiscard]] double now() const { return now_; }
-
  private:
-  struct Wave {
-    double time = 0.0;
-    net::TaskId task = 0;
-  };
-  /// (enlist sequence, flow): the indexed engine keys all processing order
-  /// on the sequence a flow entered the active set, which is exactly the
-  /// reference engine's active_-list order.
+  /// (enlist sequence, flow): all processing order is keyed on the sequence
+  /// a flow entered the active set, which is exactly the reference loop's
+  /// active-list order.
   struct SeqFlow {
     std::int64_t seq = 0;
     net::FlowId fid = net::kInvalidFlow;
@@ -167,29 +160,13 @@ class FluidSimulator {
   using DeadlineHeap =
       std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>, DeadlineAfter>;
 
-  [[nodiscard]] std::vector<Wave> build_waves() const;
-  SimStats run_reference();
-  SimStats run_indexed();
-  /// Shared tail: final state census, on_run_complete.
-  SimStats finish_run();
-
-  // Reference-engine helpers.
-  /// Advance all active flows from now_ to `t` at their current rates.
-  void advance_to(double t);
-  /// Mark finished flows (completed / missed) and notify the scheduler.
-  void settle(double now);
-
   net::Network* net_;
   Scheduler* scheduler_;
   TransmitObserver* observer_ = nullptr;
-  SimEngine engine_ = SimEngine::kIndexed;
   double now_ = 0.0;
   SimStats stats_;
 
-  // Reference engine: the flat active list.
-  std::vector<net::FlowId> active_;
-
-  // Indexed engine state (reset per run).
+  // Event-loop state (reset per run).
   std::vector<std::int64_t> seq_of_;      // per flow; -1 = never enlisted
   std::vector<std::uint8_t> in_running_;  // per flow: has a running_ entry
   std::vector<std::uint8_t> retired_;     // per flow: active_count_ already decremented

@@ -28,6 +28,12 @@ AdmissionService::AdmissionService(const topo::Topology& topology, const Service
   if (config_.shards > 1 && fat_tree == nullptr) {
     throw std::invalid_argument("AdmissionService: sharding requires a fat-tree topology");
   }
+  if (!(std::isfinite(config_.cross_pod_window) && config_.cross_pod_window > 0.0)) {
+    throw std::invalid_argument("AdmissionService: cross_pod_window must be finite and > 0");
+  }
+  if (!(std::isfinite(config_.cross_pod_budget) && config_.cross_pod_budget >= 0.0)) {
+    throw std::invalid_argument("AdmissionService: cross_pod_budget must be finite and >= 0");
+  }
   node_shard_.assign(topo_->graph().node_count(), -1);
   for (const topo::NodeId host : topo_->hosts()) {
     const std::size_t shard =
@@ -56,14 +62,14 @@ AdmissionService::~AdmissionService() { stop(); }
 bool AdmissionService::reserve_cross_pod(const TaskRequest& request) {
   const topo::PodMap& pods = *topo_->pods();
   const double window = config_.cross_pod_window;
-  const auto bucket = static_cast<std::int64_t>(request.deadline / window);
+  const double bucket = std::floor(request.deadline / window);
   // Expire windows that ended before this arrival. Arrivals at this point
   // are non-decreasing (kOutOfOrder already filtered), so expiry — like the
   // reservations themselves — is a pure function of the submission order.
   for (auto& reserved : pod_reserved_) {
     auto it = reserved.begin();
     while (it != reserved.end() &&
-           static_cast<double>(it->first + 1) * window <= request.arrival) {
+           (it->first + 1.0) * window <= request.arrival) {
       it = reserved.erase(it);
     }
   }

@@ -186,9 +186,10 @@ class AdmissionService {
   std::vector<int> node_shard_;
   /// Index of the global cross-pod domain in shards_, -1 when unsharded.
   int global_shard_ = -1;
-  /// Per-pod cross-pod reservations: deadline window -> seconds of the
-  /// pod's aggregate uplink time already promised to spanning tasks.
-  std::vector<std::map<std::int64_t, double>> pod_reserved_ TAPS_GUARDED_BY(mu_);
+  /// Per-pod cross-pod reservations: deadline window (floor(deadline / window),
+  /// a double so every finite deadline has one) -> seconds of the pod's
+  /// aggregate uplink time already promised to spanning tasks.
+  std::vector<std::map<double, double>> pod_reserved_ TAPS_GUARDED_BY(mu_);
 
   mutable util::Mutex mu_;
   util::CondVar work_cv_;

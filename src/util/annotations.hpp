@@ -36,45 +36,22 @@
 #define TAPS_REQUIRES(...) \
   TAPS_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 
-/// Function requires the capabilities held at least in shared (reader) mode.
-#define TAPS_REQUIRES_SHARED(...) \
-  TAPS_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
-
 /// Function acquires the given capabilities (held on exit, not on entry).
 #define TAPS_ACQUIRE(...) \
   TAPS_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-
-/// Function acquires the given capabilities in shared (reader) mode.
-#define TAPS_ACQUIRE_SHARED(...) \
-  TAPS_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 
 /// Function releases the given capabilities (held on entry, not on exit).
 #define TAPS_RELEASE(...) \
   TAPS_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 
-/// Function releases capabilities held in shared (reader) mode.
-#define TAPS_RELEASE_SHARED(...) \
-  TAPS_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-
-/// Function releases capabilities held in either mode (scoped guards that
-/// may wrap an exclusive or a shared acquisition).
-#define TAPS_RELEASE_GENERIC(...) \
-  TAPS_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
-
 /// Function acquires the capability iff it returns `ret`.
 #define TAPS_TRY_ACQUIRE(ret, ...) \
   TAPS_THREAD_ANNOTATION_(try_acquire_capability(ret, __VA_ARGS__))
-
-/// Function acquires the capability in shared mode iff it returns `ret`.
-#define TAPS_TRY_ACQUIRE_SHARED(ret, ...) \
-  TAPS_THREAD_ANNOTATION_(try_acquire_shared_capability(ret, __VA_ARGS__))
 
 /// Runtime assertion that the calling thread already holds the capability
 /// (tells the analysis so without performing an acquisition).
 #define TAPS_ASSERT_CAPABILITY(...) \
   TAPS_THREAD_ANNOTATION_(assert_capability(__VA_ARGS__))
-#define TAPS_ASSERT_SHARED_CAPABILITY(...) \
-  TAPS_THREAD_ANNOTATION_(assert_shared_capability(__VA_ARGS__))
 
 /// Function must NOT be called while holding the given capabilities
 /// (deadlock / recursive-lock prevention).

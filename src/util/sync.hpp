@@ -2,13 +2,12 @@
 //
 // libstdc++'s std::mutex / std::lock_guard carry no `capability` attributes,
 // so code locking through them cannot be checked by -Wthread-safety. These
-// thin wrappers restore that: Mutex / SharedMutex are lockable capabilities,
-// MutexLock / WriterMutexLock / ReaderMutexLock are the scoped guards, and
-// CondVar is a condition variable that waits on a Mutex directly (via
-// std::condition_variable_any, which accepts any BasicLockable). All wrappers
-// are zero-cost abstractions over the std types apart from
-// condition_variable_any's internal reference bookkeeping, which is off
-// every hot path (the pool's wait loop parks idle workers).
+// thin wrappers restore that: Mutex is a lockable capability, MutexLock is
+// its scoped guard, and CondVar is a condition variable that waits on a
+// Mutex directly (via std::condition_variable_any, which accepts any
+// BasicLockable). All wrappers are zero-cost abstractions over the std types
+// apart from condition_variable_any's internal reference bookkeeping, which
+// is off every hot path (the pool's wait loop parks idle workers).
 //
 // This header is the ONLY sanctioned gateway to raw concurrency primitives:
 // scripts/lint_concurrency.py bans `std::mutex`, `std::thread`,
@@ -19,11 +18,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 #include "util/annotations.hpp"
@@ -59,60 +56,6 @@ class TAPS_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// std::shared_mutex annotated as a reader/writer capability. Intended for
-/// read-mostly shared structures on the parallel-advancement path (e.g. a
-/// registry rebuilt at replan points and read by every advancing domain).
-class TAPS_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() TAPS_ACQUIRE() { m_.lock(); }
-  void unlock() TAPS_RELEASE() { m_.unlock(); }
-  [[nodiscard]] bool try_lock() TAPS_TRY_ACQUIRE(true) { return m_.try_lock(); }
-
-  void lock_shared() TAPS_ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() TAPS_RELEASE_SHARED() { m_.unlock_shared(); }
-  [[nodiscard]] bool try_lock_shared() TAPS_TRY_ACQUIRE_SHARED(true) {
-    return m_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex m_;
-};
-
-/// Scoped exclusive (writer) lock on a SharedMutex.
-class TAPS_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) TAPS_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~WriterMutexLock() TAPS_RELEASE() { mu_.unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared (reader) lock on a SharedMutex.
-class TAPS_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) TAPS_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  // release_generic: a scoped_lockable destructor must release whatever its
-  // constructor acquired; clang models shared releases through the generic
-  // form on scoped guards.
-  ~ReaderMutexLock() TAPS_RELEASE_GENERIC() { mu_.unlock_shared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
 /// Condition variable waiting directly on an annotated Mutex. Waits require
 /// the mutex held; the temporary release inside wait() happens within
 /// std::condition_variable_any (a system header, outside the analysis).
@@ -130,14 +73,6 @@ class CondVar {
  private:
   std::condition_variable_any cv_;
 };
-
-/// The sanctioned atomic: identical to std::atomic, but going through this
-/// alias keeps the raw-primitive ban (scripts/lint_concurrency.py) honest —
-/// every atomic outside util/ is visible as a deliberate concurrency
-/// decision, not an incidental `#include <atomic>`. Single-threaded
-/// semantics are unchanged, so determinism oracles are unaffected.
-template <typename T>
-using Atomic = std::atomic<T>;
 
 /// The sanctioned thread handle (ownership only; no annotation semantics —
 /// what the spawned function may touch is governed by the capability

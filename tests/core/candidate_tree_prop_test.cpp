@@ -5,7 +5,11 @@
 // Occupancy windows, flow sizes, deadlines and `now` are dyadic, so every
 // allocation is exact and candidates tie on completion all the time: that
 // exercises the tie rule (earliest completion, then lowest index) across
-// groups visited out of index order. Topologies cover k=4 and k=8 fat-trees
+// groups visited out of index order. Exact-fit plans break the grid on
+// purpose: a non-dyadic demand starts just so far before a busy interval on
+// one candidate that it fills the gap up to a rounding residue, the case
+// where a pruning bound that does not forgive the residue jumps the busy
+// interval and cuts the race's winner. Topologies cover k=4 and k=8 fat-trees
 // (same-edge, intra-pod and inter-pod pairs), a dual-homed GenericTopology
 // whose candidates share no root link, a fat-tree with non-uniform link
 // capacities, and a topology whose candidates differ in length (one group:
@@ -13,8 +17,11 @@
 // guard bands > 0 and horizons at or before `now`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -138,16 +145,25 @@ struct Op {
   bool ecmp = false;
   double guard_band = 0.0;
   bool commit = false;  // kPlan: occupy the winner's slices afterwards
+  // kPlan exact fit: `now` is moved to `len` before the first busy interval
+  // after `lo` on candidate `fit_target` (then by `nudge` ulps), and the
+  // deadline to `slack` after that interval's start.
+  bool exact_fit = false;
+  int fit_target = 0;
+  int nudge = 0;
 
   friend std::ostream& operator<<(std::ostream& os, const Op& op) {
     if (op.kind == kBusy) {
       return os << "busy(topo=" << op.topology << ", link=" << op.a << ", [" << op.lo << ", "
                 << op.lo + op.len << "))";
     }
-    return os << "plan(topo=" << op.topology << ", src=" << op.a << ", dst=" << op.b
-              << ", now=" << op.lo << ", size=" << op.len << ", slack=" << op.slack
-              << ", max_paths=" << op.max_paths << ", ecmp=" << op.ecmp
-              << ", guard=" << op.guard_band << ", commit=" << op.commit << ")";
+    os.precision(17);
+    os << "plan(topo=" << op.topology << ", src=" << op.a << ", dst=" << op.b
+       << ", now=" << op.lo << ", size=" << op.len << ", slack=" << op.slack
+       << ", max_paths=" << op.max_paths << ", ecmp=" << op.ecmp << ", guard=" << op.guard_band
+       << ", commit=" << op.commit;
+    if (op.exact_fit) os << ", exact_fit(target=" << op.fit_target << ", nudge=" << op.nudge << ")";
+    return os << ")";
   }
 };
 
@@ -181,6 +197,13 @@ std::vector<Op> generate(util::Rng& rng) {
       op.ecmp = rng.bernoulli(0.1);
       op.guard_band = rng.bernoulli(0.2) ? dyadic(rng, 1, 4) : 0.0;
       op.commit = rng.bernoulli(0.7);
+      if (rng.bernoulli(0.3)) {
+        op.exact_fit = true;
+        op.ecmp = false;
+        op.len = rng.uniform_real(0.1, 6.0);
+        op.fit_target = static_cast<int>(rng.uniform_int(0, 15));
+        op.nudge = static_cast<int>(rng.uniform_int(-2, 2));
+      }
     }
     ops.push_back(op);
   }
@@ -248,6 +271,35 @@ topo::NodeId pick_dst(const topo::Topology& t, const topo::FatTree* ft, topo::No
   return dst;
 }
 
+/// Move an exact-fit plan's arrival so that its demand on candidate
+/// `fit_target` ends at the start of that path's first busy interval after
+/// `lo` (up to the nudge), with the deadline `slack` after that start. The
+/// subtraction rounds, so the gap left over differs from the demand by a
+/// residue. Leaves `spec` alone when no such interval exists.
+void place_exact_fit(const topo::Topology& topo, const OccupancyMap& occ, const Op& op,
+                     net::FlowSpec& spec) {
+  const std::vector<topo::Path> candidates =
+      topo.paths(spec.src, spec.dst, static_cast<std::size_t>(op.max_paths));
+  if (candidates.empty()) return;
+  const auto pick = static_cast<std::size_t>(op.fit_target) % candidates.size();
+  const topo::Path& target = candidates[pick];
+  const util::IntervalSet busy = path_union(occ, target);
+  const std::size_t k = busy.first_index_after(op.lo);
+  if (k == busy.size() || busy.intervals()[k].lo <= op.lo) return;
+  const double gap_end = busy.intervals()[k].lo;
+  double capacity = std::numeric_limits<double>::infinity();
+  for (const topo::LinkId lid : target.links) {
+    capacity = std::min(capacity, topo.graph().link(lid).capacity);
+  }
+  double now = gap_end - spec.size / capacity;
+  for (int u = 0; u < std::abs(op.nudge); ++u) {
+    now = std::nextafter(now, op.nudge > 0 ? gap_end : 0.0);
+  }
+  if (!(now >= 0.0)) return;
+  spec.arrival = now;
+  spec.deadline = gap_end + op.slack;
+}
+
 std::optional<std::string> check(const std::vector<Op>& ops) {
   const topo::FatTree k4(topo::FatTreeConfig{4, 1.0});
   const topo::FatTree k8(topo::FatTreeConfig{8, 1.0});
@@ -286,19 +338,21 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
     spec.size = op.len;
     spec.arrival = op.lo;
     spec.deadline = op.lo + op.slack;
+    if (op.exact_fit) place_exact_fit(topo, occ[t], op, spec);
+    const double now = spec.arrival;
     const std::vector<net::FlowSpec> flows{spec};
     net::Network& net = *nets[t];
-    const net::TaskId task = net.add_task(op.lo, spec.deadline, flows);
+    const net::TaskId task = net.add_task(now, spec.deadline, flows);
     const net::FlowId fid = net.task(task).spec.flows.front();
     const PlanConfig config{.max_paths = static_cast<std::size_t>(op.max_paths),
                             .ecmp_routing = op.ecmp,
                             .guard_band = op.guard_band};
 
-    const FlowPlan flat = flat_path_race(net, occ[t], fid, op.lo, config);
-    const FlowPlan tree = plan_one_flow(net, occ[t], fid, op.lo, config, &scratch[t]);
+    const FlowPlan flat = flat_path_race(net, occ[t], fid, now, config);
+    const FlowPlan tree = plan_one_flow(net, occ[t], fid, now, config, &scratch[t]);
     if (auto d = differ(tree, flat)) return "op " + std::to_string(i) + ": " + *d;
     // Cached and uncached candidate lists plan alike.
-    if (auto d = differ(plan_one_flow(net, occ[t], fid, op.lo, config), flat)) {
+    if (auto d = differ(plan_one_flow(net, occ[t], fid, now, config), flat)) {
       return "op " + std::to_string(i) + " (no scratch): " + *d;
     }
     if (op.commit && tree.feasible) occ[t].occupy(tree.path, tree.slices);
@@ -309,6 +363,47 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
 TAPS_PROP(CandidateTreeProp, MatchesFlatRaceBitwise, 300) {
   prop.for_all([](util::Rng& rng) { return generate(rng); },
                [](const std::vector<Op>& ops) { return check(ops); });
+}
+
+/// k=4 fat-tree, host 8 -> host 13, with only link 81 (on candidates 0 and
+/// 1) busy on [2.6959270866493137, 3.6959270866493137). The demand from
+/// `now` fills the gap before that interval up to a sub-ulp residue, so
+/// candidate 0 completes at the busy start, exactly when the idle
+/// candidates 2 and 3 do: the tie goes to candidate 0. The tree used to
+/// bound candidate 0's group past the busy interval and prune it, returning
+/// candidate 2.
+TEST(CandidateTreeProp, ExactFitKeepsTheRaceWinner) {
+  const double busy_lo = 2.6959270866493137;
+  const double now = 2.2565730296740014;
+  const double size = 0.43935405697531249;  // seconds at capacity 1
+  const topo::FatTree ft(topo::FatTreeConfig{4, 1.0});
+  net::Network net(ft);
+  net::FlowSpec spec;
+  spec.src = ft.hosts()[8];
+  spec.dst = ft.hosts()[13];
+  spec.size = size;
+  spec.arrival = now;
+  spec.deadline = 4.9281373210168429;
+  const std::vector<net::FlowSpec> flows{spec};
+  const net::FlowId fid = net.task(net.add_task(now, spec.deadline, flows)).spec.flows.front();
+  OccupancyMap occ(ft.graph().link_count());
+  topo::Path link81;
+  link81.links.push_back(81);
+  util::IntervalSet busy;
+  busy.insert(busy_lo, 3.6959270866493137);
+  occ.occupy(link81, busy);
+
+  const PlanConfig config;
+  const std::vector<topo::Path> candidates = candidate_paths(net, net.flow(fid), config);
+  ASSERT_EQ(candidates.size(), 4u);
+  ASSERT_NE(std::find(candidates[0].links.begin(), candidates[0].links.end(), 81),
+            candidates[0].links.end());
+  const FlowPlan flat = flat_path_race(net, occ, fid, now, config);
+  ASSERT_TRUE(flat.feasible);
+  EXPECT_EQ(flat.path, candidates[0]);
+  EXPECT_EQ(flat.completion, busy_lo);
+  const FlowPlan tree = plan_one_flow(net, occ, fid, now, config);
+  EXPECT_EQ(differ(tree, flat), std::nullopt);
 }
 
 }  // namespace

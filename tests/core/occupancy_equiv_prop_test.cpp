@@ -6,9 +6,13 @@
 // (IntervalSet search, and taps_oracle's allocate_time_reference) as
 // references. These properties pin the
 // equivalence on random instances — including interleaved mutations, which
-// are exactly what invalidates hints.
+// are exactly what invalidates hints — and on exact fits: a demand that
+// fills the gap before a busy interval up to a rounding residue, which
+// random and dyadic values never leave.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -17,6 +21,7 @@
 #include "common/prop.hpp"
 #include "core/full_replan_oracle.hpp"
 #include "core/occupancy.hpp"
+#include "core/path_allocation.hpp"
 #include "core/time_allocation.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
@@ -34,17 +39,20 @@ struct Op {
     kQueryIndex,     // first_index_after: hinted vs IntervalSet binary search
     kQueryAllocate,  // fused allocate_time vs allocate_time_reference
     kQueryCollides,  // collides on a random probe set
+    kQueryExactFit,  // as kQueryAllocate, `now` set so the demand fits a gap exactly
   };
   Kind kind = kOccupy;
   int link = 0;
   double a = 0.0;
   double b = 0.0;
+  int nudge = 0;  // kQueryExactFit: ulps to move `now` by
 
   friend std::ostream& operator<<(std::ostream& os, const Op& op) {
-    static const char* names[] = {"occupy",      "trim",        "clear",
-                                  "query_index", "query_alloc", "collides"};
+    static const char* names[] = {"occupy",   "trim",     "clear",    "query_index",
+                                  "query_alloc", "collides", "exact_fit"};
+    os.precision(17);
     return os << names[op.kind] << "(link=" << op.link << ", a=" << op.a << ", b=" << op.b
-              << ")";
+              << ", nudge=" << op.nudge << ")";
   }
 };
 
@@ -63,12 +71,15 @@ std::vector<Op> generate_ops(util::Rng& rng) {
       op.kind = Op::kTrim;
     } else if (roll == 3) {
       op.kind = Op::kClear;
+    } else if (roll == 9) {
+      op.kind = Op::kQueryExactFit;
     } else {
       op.kind = static_cast<Op::Kind>(Op::kQueryIndex + (roll - 4) % 3);
     }
     op.link = static_cast<int>(rng.uniform_int(0, kLinks - 1));
     op.a = rng.uniform_real(0.0, 40.0);
     op.b = op.a + rng.uniform_real(0.05, 6.0);
+    op.nudge = static_cast<int>(rng.uniform_int(-2, 2));
     ops.push_back(op);
   }
   return ops;
@@ -88,6 +99,54 @@ topo::Path path_for(const Op& op) {
 // shrinking keeps cases reproducible.
 double horizon_spread(const Op& op) {
   return 1.0 + 8.0 * (op.a - static_cast<double>(static_cast<int>(op.a)));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The contracts of Algorithm 3 and of the bounds that prune it, for one
+/// allocation of `duration` seconds on `p` from `now`:
+///  - the fused allocate_time equals allocate_time_reference bitwise;
+///  - a bounded scan returns the unbounded result when that completion lies
+///    below the bound, and aborts at (or below) it;
+///  - a pruning bound (pruning_link_bound) never exceeds the completion by
+///    more than kLbSlack.
+std::optional<std::string> check_allocate(const OccupancyMap& occ, const topo::Path& p, double now,
+                                          double duration, double horizon) {
+  const TimeAllocation fast = allocate_time(occ, p, now, duration, horizon);
+  const TimeAllocation ref = allocate_time_reference(occ, p, now, duration, horizon);
+  std::ostringstream os;
+  os.precision(17);
+  os << "allocate_time(from=" << now << ", dur=" << duration << ", horizon=" << horizon << "): ";
+  if (fast.feasible() != ref.feasible() || !(fast.slices == ref.slices) ||
+      fast.completion != ref.completion) {
+    os << "fused {" << fast.slices << ", completion=" << fast.completion << "} != reference {"
+       << ref.slices << ", completion=" << ref.completion << "}";
+    return os.str();
+  }
+  if (fast.feasible() && !fast.slices.check_invariants()) {
+    return "fused allocate_time broke canonical form";
+  }
+  if (!ref.feasible()) return std::nullopt;
+  for (const double bound : {std::nextafter(ref.completion, kInf), ref.completion + 1.0}) {
+    const TimeAllocation loose = allocate_time(occ, p, now, duration, horizon, bound);
+    if (!(loose.slices == ref.slices) || loose.completion != ref.completion) {
+      os << "bounded by " << bound << ": {" << loose.slices << "} != unbounded {" << ref.slices
+         << ", completion=" << ref.completion << "}";
+      return os.str();
+    }
+  }
+  if (allocate_time(occ, p, now, duration, horizon, ref.completion).feasible()) {
+    return os.str() + "returned a completion at its bound";
+  }
+  for (const topo::LinkId lid : p.links) {
+    const double lb = pruning_link_bound(occ, lid, now, duration);
+    if (lb > ref.completion + kLbSlack) {
+      os << "pruning bound of link " << lid << " = " << lb << " exceeds the completion "
+         << ref.completion << " by more than kLbSlack";
+      return os.str();
+    }
+  }
+  return std::nullopt;
 }
 
 std::optional<std::string> check(const std::vector<Op>& ops) {
@@ -130,52 +189,27 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
       }
 
       case Op::kQueryAllocate: {
-        const topo::Path p = path_for(op);
         const double duration = op.b - op.a;
         const double horizon = op.a + duration * horizon_spread(op);
-        const TimeAllocation fast = allocate_time(occ, p, op.a, duration, horizon);
+        const topo::Path p = path_for(op);
+        if (auto err = check_allocate(occ, p, op.a, duration, horizon)) return err;
+        // Off exact fits, single_link_completion for the full demand is a
+        // lower bound on any path through the link (tolerance: its
+        // prefix-summation rounding).
         const TimeAllocation ref = allocate_time_reference(occ, p, op.a, duration, horizon);
-        if (fast.feasible() != ref.feasible() || !(fast.slices == ref.slices) ||
-            fast.completion != ref.completion) {
-          std::ostringstream os;
-          os << "allocate_time(from=" << op.a << ", dur=" << duration
-             << ", horizon=" << horizon << "): fused {" << fast.slices
-             << ", completion=" << fast.completion << "} != reference {" << ref.slices
-             << ", completion=" << ref.completion << "}";
-          return os.str();
-        }
-        if (fast.feasible() && !fast.slices.check_invariants()) {
-          return "fused allocate_time broke canonical form";
-        }
-        if (ref.feasible()) {
-          // Branch-and-bound contract: a bound above the true completion
-          // must not change the result; a bound at (or below) it must abort.
-          const TimeAllocation loose =
-              allocate_time(occ, p, op.a, duration, horizon, ref.completion + 1.0);
-          if (!(loose.slices == ref.slices)) {
-            return "bounded allocate_time diverged under a loose bound";
-          }
-          const TimeAllocation tight =
-              allocate_time(occ, p, op.a, duration, horizon, ref.completion);
-          if (tight.feasible()) {
-            return "bounded allocate_time returned a completion at/past its bound";
-          }
-          // single_link_completion is a lower bound on any path through the
-          // link (tolerance: its prefix-summation rounding, well under the
-          // kLbSlack plan_one_flow prunes with).
-          for (const topo::LinkId lid : p.links) {
-            const double lb = occ.single_link_completion(lid, op.a, duration);
-            if (lb > ref.completion + 1e-9) {
-              std::ostringstream os;
-              os << "single_link_completion(link=" << lid << ") = " << lb
-                 << " exceeds the path completion " << ref.completion;
-              return os.str();
-            }
+        for (const topo::LinkId lid : p.links) {
+          const double lb = occ.single_link_completion(lid, op.a, duration);
+          if (ref.feasible() && lb > ref.completion + 1e-9) {
+            std::ostringstream os;
+            os << "single_link_completion(link=" << lid << ") = " << lb
+               << " exceeds the path completion " << ref.completion;
+            return os.str();
           }
         }
         // On a single-link path with no horizon pressure, the lower bound is
         // the exact completion (same math as the reference, summed prefix-
-        // style) — pin it against the reference allocator.
+        // style) — pin it against the reference allocator. Not at an exact
+        // fit: there the reference forgives a residue the prefix sums keep.
         topo::Path one;
         one.links.push_back(static_cast<topo::LinkId>(op.link));
         const double lb1 = occ.single_link_completion(
@@ -187,6 +221,26 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
              << ", need=" << duration << ") = " << lb1 << " != single-link reference "
              << ref1.completion;
           return os.str();
+        }
+        break;
+      }
+
+      case Op::kQueryExactFit: {
+        // The first busy interval of the path's union starting after op.a;
+        // `now` sits the demand's length before it, give or take a few ulps.
+        const topo::Path p = path_for(op);
+        const util::IntervalSet busy = path_union(occ, p);
+        const std::size_t k = busy.first_index_after(op.a);
+        if (k == busy.size() || busy.intervals()[k].lo <= op.a) break;
+        const double gap_end = busy.intervals()[k].lo;
+        const double duration = op.b - op.a;
+        double now = gap_end - duration;
+        for (int u = 0; u < std::abs(op.nudge); ++u) {
+          now = std::nextafter(now, op.nudge > 0 ? kInf : -kInf);
+        }
+        if (!(now >= 0.0)) break;
+        if (auto err = check_allocate(occ, p, now, duration, gap_end + horizon_spread(op))) {
+          return err;
         }
         break;
       }
@@ -212,6 +266,40 @@ std::optional<std::string> check(const std::vector<Op>& ops) {
 
 TAPS_PROP(OccupancyEquivProp, HintedQueriesMatchReferenceScans, 400) {
   prop.for_all(generate_ops, check);
+}
+
+/// One link busy on [2.6959270866493137, 3.6959270866493137). From `now` the
+/// demand overfills the gap before it by under half an ulp: now + demand
+/// rounds to the busy start. Algorithm 3 forgives that residue and completes
+/// at the busy start. A bounded scan must agree with it (it used to carry
+/// the residue past the busy interval, where the bound aborted it), and the
+/// pruning bound must not jump the busy interval (single_link_completion
+/// for the full demand does).
+TEST(OccupancyEquivProp, ExactFitResidueKeepsBothContracts) {
+  const double busy_lo = 2.6959270866493137;
+  const double busy_hi = 3.6959270866493137;
+  const double now = 2.2565730296740014;
+  const double demand = 0.43935405697531249;
+  OccupancyMap occ(1);
+  topo::Path link;
+  link.links.push_back(0);
+  util::IntervalSet busy;
+  busy.insert(busy_lo, busy_hi);
+  occ.occupy(link, busy);
+  ASSERT_EQ(now + demand, busy_lo);
+  ASSERT_LT(busy_lo - now, demand);  // the gap falls short by a residue
+  for (const double horizon : {4.9281373210168429, kInf}) {
+    const TimeAllocation ref = allocate_time_reference(occ, link, now, demand, horizon);
+    ASSERT_TRUE(ref.feasible());
+    EXPECT_EQ(ref.completion, busy_lo);
+    for (const double bound : {ref.completion + 1.0, 3.0}) {
+      const TimeAllocation bounded = allocate_time(occ, link, now, demand, horizon, bound);
+      EXPECT_TRUE(bounded.feasible()) << "bound " << bound << ", horizon " << horizon;
+      EXPECT_EQ(bounded.completion, busy_lo) << "bound " << bound << ", horizon " << horizon;
+    }
+    EXPECT_EQ(check_allocate(occ, link, now, demand, horizon), std::nullopt);
+  }
+  EXPECT_LE(pruning_link_bound(occ, 0, now, demand), busy_lo + kLbSlack);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/full_replan_oracle.hpp"
+
 namespace taps::core {
 namespace {
 
@@ -35,14 +37,14 @@ TEST(OccupancyMap, PathUnionMergesLinkSets) {
   OccupancyMap occ(3);
   occ.occupy(path_of({0}), slices({{0.0, 1.0}}));
   occ.occupy(path_of({1}), slices({{0.5, 2.0}}));
-  const util::IntervalSet u = occ.path_union(path_of({0, 1}));
+  const util::IntervalSet u = path_union(occ, path_of({0, 1}));
   ASSERT_EQ(u.size(), 1u);
   EXPECT_EQ(u.intervals()[0], (util::Interval{0.0, 2.0}));
 }
 
 TEST(OccupancyMap, PathUnionOfIdleLinksIsEmpty) {
   OccupancyMap occ(3);
-  EXPECT_TRUE(occ.path_union(path_of({0, 1, 2})).empty());
+  EXPECT_TRUE(path_union(occ, path_of({0, 1, 2})).empty());
 }
 
 TEST(OccupancyMap, CollisionDetection) {

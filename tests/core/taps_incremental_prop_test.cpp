@@ -253,6 +253,24 @@ TAPS_PROP(TapsIncrementalProp, FatTreeHotspotsBitIdenticalToFullReplan, 300) {
   });
 }
 
+TEST(TapsIncrementalProp, ForcedWaveHotspotsMatchOracle) {
+  // A fixed batch of hotspot scenarios in which every task gets a second
+  // wave: its first flow again, 0.3 x slack after the first. Re-planning
+  // the same flow a wave later lands exact fits — a demand filling a gap up
+  // to a rounding residue — and this batch reaches the ones where Algorithm
+  // 3 and its pruning bounds used to disagree (scenarios 911 and 1853).
+  util::Rng rng(0xABCDEF);
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<TaskGen> tasks = gen_hotspot_scenario(rng);
+    for (TaskGen& t : tasks) {
+      if (!t.wave.empty()) continue;
+      t.wave_delay = 0.3 * t.slack;
+      t.wave.push_back(t.flows.front());
+    }
+    ASSERT_EQ(matches_oracle(fat_tree, tasks), std::nullopt) << "scenario " << i;
+  }
+}
+
 TEST(TapsIncrementalProp, ReuseActuallyHappensInAggregate) {
   // Guard against the reuse machinery silently degenerating into "restart
   // every session": across a batch of random scenarios (each containing

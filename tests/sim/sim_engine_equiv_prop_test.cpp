@@ -1,9 +1,9 @@
-// Engine-equivalence pins: SimEngine::kIndexed must replay
-// SimEngine::kReference bit-for-bit — same flow outcomes (state, remaining,
-// bytes_sent, completion_time in full precision), same SimStats outcome
-// fields (events, completions, misses, end_time), and the same timeline
-// event stream when a recorder is attached. Only the SimEffort work counters
-// may differ (that is the point of the indexed engine).
+// Engine-equivalence pins: FluidSimulator's indexed loop must replay
+// taps_oracle's ReferenceSimulator bit-for-bit — same flow outcomes (state,
+// remaining, bytes_sent, completion_time in full precision), same SimStats
+// outcome fields (events, completions, misses, end_time), and the same
+// timeline event stream when a recorder is attached. Only the SimEffort work
+// counters may differ (that is the point of the indexed loop).
 //
 // The property runs every scheduler — including TAPS's full-replan oracle,
 // whose plain rate rescan backs TapsScheduler's event-driven rates — over
@@ -23,6 +23,7 @@
 #include "common/prop.hpp"
 #include "core/full_replan_oracle.hpp"
 #include "exp/experiment.hpp"
+#include "sim/reference_simulator.hpp"
 #include "sim/timeline.hpp"
 #include "workload/task_generator.hpp"
 
@@ -62,8 +63,25 @@ struct RunOutput {
   Timeline timeline;
 };
 
-/// Full-precision dump of everything both engines must agree on. SimEffort
-/// is deliberately absent — it is engine-dependent by design.
+/// Which event loop runs a case.
+enum class Loop { kIndexed, kReference };
+
+/// Run `net` under `scheduler` on `loop`, with `observer` attached (may be
+/// null).
+SimStats run_loop(Loop loop, net::Network& net, Scheduler& scheduler,
+                  TransmitObserver* observer = nullptr) {
+  if (loop == Loop::kReference) {
+    ReferenceSimulator simulator(net, scheduler);
+    simulator.set_observer(observer);
+    return simulator.run();
+  }
+  FluidSimulator simulator(net, scheduler);
+  simulator.set_observer(observer);
+  return simulator.run();
+}
+
+/// Full-precision dump of everything both loops must agree on. SimEffort
+/// is deliberately absent — it is loop-dependent by design.
 std::string outcome_fingerprint(const net::Network& net, const SimStats& stats) {
   std::ostringstream os;
   os << std::hexfloat;
@@ -77,7 +95,7 @@ std::string outcome_fingerprint(const net::Network& net, const SimStats& stats) 
 }
 
 RunOutput run_once(const workload::WorkloadConfig& wc, std::uint64_t workload_seed,
-                   const SchedConfig& sc, SimEngine engine) {
+                   const SchedConfig& sc, Loop loop) {
   const auto topology = workload::make_topology(workload::Scenario::single_rooted(false));
   net::Network net(*topology);
   util::Rng rng(workload_seed);
@@ -88,9 +106,7 @@ RunOutput run_once(const workload::WorkloadConfig& wc, std::uint64_t workload_se
   if (auto* base = dynamic_cast<sched::BaseScheduler*>(scheduler.get())) {
     base->set_schedule_observer(&rec);
   }
-  FluidSimulator simulator(net, *scheduler, engine);
-  simulator.set_observer(&rec);
-  const SimStats stats = simulator.run();
+  const SimStats stats = run_loop(loop, net, *scheduler, &rec);
 
   RunOutput out;
   out.fingerprint = outcome_fingerprint(net, stats);
@@ -140,8 +156,8 @@ TAPS_PROP(SimEngineEquivProp, IndexedMatchesReferenceBitwise, 8) {
     std::string taps_fp;    // event-driven rates over journaled sessions
     std::string oracle_fp;  // plain rescan over from-scratch replans
     for (const SchedConfig& sc : all_configs()) {
-      const RunOutput ref = run_once(wc, c.workload_seed, sc, SimEngine::kReference);
-      const RunOutput idx = run_once(wc, c.workload_seed, sc, SimEngine::kIndexed);
+      const RunOutput ref = run_once(wc, c.workload_seed, sc, Loop::kReference);
+      const RunOutput idx = run_once(wc, c.workload_seed, sc, Loop::kIndexed);
       const std::string label =
           std::string(exp::to_string(sc.kind)) + (sc.oracle ? "/full-replan-oracle" : "");
       if (ref.fingerprint != idx.fingerprint) {
@@ -165,9 +181,9 @@ TAPS_PROP(SimEngineEquivProp, IndexedMatchesReferenceBitwise, 8) {
 /// Deterministic contended-dumbbell case crossing every decision path
 /// (admit, reject, preempt) under TAPS, with the recorder attached to both
 /// planes — the same workload as the TimelineIdentity suite, now compared
-/// across engines.
+/// across loops.
 TEST(SimEngineEquiv, TimelineIdenticalOnContendedDumbbell) {
-  auto run_engine = [](SimEngine engine) {
+  auto run_engine = [](Loop loop) {
     auto d = make_dumbbell(4);
     net::Network net(*d.topology);
     add_task(net, 0.0, 8.0,
@@ -183,38 +199,35 @@ TEST(SimEngineEquiv, TimelineIdenticalOnContendedDumbbell) {
     core::TapsScheduler sched(cfg);
     TimelineRecorder rec(TimelineConfig{.record_transmissions = true});
     sched.set_schedule_observer(&rec);
-    FluidSimulator simulator(net, sched, engine);
-    simulator.set_observer(&rec);
-    const SimStats stats = simulator.run();
+    const SimStats stats = run_loop(loop, net, sched, &rec);
     return std::make_pair(outcome_fingerprint(net, stats), rec.timeline());
   };
-  const auto [ref_fp, ref_tl] = run_engine(SimEngine::kReference);
-  const auto [idx_fp, idx_tl] = run_engine(SimEngine::kIndexed);
+  const auto [ref_fp, ref_tl] = run_engine(Loop::kReference);
+  const auto [idx_fp, idx_tl] = run_engine(Loop::kIndexed);
   EXPECT_EQ(ref_fp, idx_fp);
   EXPECT_TRUE(ref_tl == idx_tl) << "timeline diverged";
   EXPECT_GT(ref_tl.events.size(), 6u);
 }
 
-/// The effort counters must actually tell the two engines apart on a
+/// The effort counters must actually tell the two loops apart on a
 /// workload with paused flows (TAPS pauses everything outside its slices):
-/// equivalence above would hold vacuously if the indexed engine silently
+/// equivalence above would hold vacuously if the indexed loop silently
 /// fell back to rescanning.
 TEST(SimEngineEquiv, IndexedEngineActuallySkipsWork) {
   workload::WorkloadConfig wc;
   wc.task_count = 20;
   wc.flows_per_task_mean = 10.0;
-  auto run_engine = [&wc](SimEngine engine) {
+  auto run_engine = [&wc](Loop loop) {
     const auto topology =
         workload::make_topology(workload::Scenario::single_rooted(false));
     net::Network net(*topology);
     util::Rng rng(42);
     (void)workload::generate(net, wc, rng);
     const auto scheduler = exp::make_scheduler(exp::SchedulerKind::kTaps, 16);
-    FluidSimulator simulator(net, *scheduler, engine);
-    return simulator.run();
+    return run_loop(loop, net, *scheduler);
   };
-  const SimStats ref = run_engine(SimEngine::kReference);
-  const SimStats idx = run_engine(SimEngine::kIndexed);
+  const SimStats ref = run_engine(Loop::kReference);
+  const SimStats idx = run_engine(Loop::kIndexed);
   EXPECT_EQ(ref.events, idx.events);
   EXPECT_EQ(ref.completions, idx.completions);
   EXPECT_EQ(ref.misses, idx.misses);

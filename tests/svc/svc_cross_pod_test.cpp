@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "svc/svc_fixtures.hpp"
@@ -77,6 +79,45 @@ TEST(SvcCrossPod, BudgetRecoversInLaterWindows) {
   EXPECT_EQ(responses[1].reason, Reason::kBudgetExhausted);
   EXPECT_TRUE(responses[2].accepted());
   EXPECT_EQ(service.audit(), std::nullopt);
+}
+
+TEST(SvcCrossPod, FarDeadlineGetsOneResponse) {
+  // A deadline 1e20 windows out is finite, so the request is well formed;
+  // its reservation window must be too (an integer window key overflowed).
+  const topo::FatTree ft(topo::FatTreeConfig{4, kPow2Capacity});
+  ServiceConfig config;
+  config.shards = 2;
+  AdmissionService service(ft, config);
+  (void)service.submit(spanning(ft, 0.0, 1e20, 0, 1, 0.4));
+  (void)service.submit(spanning(ft, 0.5, 1e20, 0, 2, 0.4));
+  service.pump();
+  const auto responses = service.take_responses();
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_TRUE(responses[0].accepted());
+  EXPECT_TRUE(responses[1].accepted());
+  EXPECT_EQ(service.audit(), std::nullopt);
+}
+
+TEST(SvcCrossPod, RejectsBadReservationConfig) {
+  const topo::FatTree ft(topo::FatTreeConfig{4, kPow2Capacity});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double window : {0.0, -1.0, nan, inf}) {
+    ServiceConfig config;
+    config.shards = 2;
+    config.cross_pod_window = window;
+    EXPECT_THROW(AdmissionService(ft, config), std::invalid_argument) << "window " << window;
+  }
+  for (const double budget : {-0.5, nan, inf}) {
+    ServiceConfig config;
+    config.shards = 2;
+    config.cross_pod_budget = budget;
+    EXPECT_THROW(AdmissionService(ft, config), std::invalid_argument) << "budget " << budget;
+  }
+  ServiceConfig zero_budget;
+  zero_budget.shards = 2;
+  zero_budget.cross_pod_budget = 0.0;
+  EXPECT_NO_THROW(AdmissionService(ft, zero_budget));
 }
 
 TEST(SvcCrossPod, MixedWorkloadMatchesUnshardedAcceptanceWhenUncontended) {
