@@ -98,7 +98,7 @@ void bench_plan_flows(BenchRunner& runner, int flows) {
 
   core::OccupancyMap occ(net.graph().link_count());
   runner.run("plan_flows/flows=" + std::to_string(flows), [&] {
-    occ.reset(net.graph().link_count());
+    occ.clear();
     do_not_optimize(core::plan_flows(net, occ, order, 0.0, core::PlanConfig{}));
   });
 }

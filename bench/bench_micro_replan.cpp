@@ -171,7 +171,7 @@ void bench_replan(BenchRunner& runner, bool quick, std::uint64_t seed) {
     const auto replan = [&](const taps::core::PlanConfig& config,
                             taps::core::OccupancyMap& occ,
                             taps::core::PlanScratch* scratch) {
-      occ.reset(link_count);
+      occ.clear();
       std::vector<taps::net::FlowId> order = inst.order;
       taps::core::sort_edf_sjf(inst.net, order);
       const auto plans =

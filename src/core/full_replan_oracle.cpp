@@ -19,6 +19,50 @@ util::IntervalSet path_union(const OccupancyMap& occupancy, const topo::Path& pa
   return out;
 }
 
+// Identical output to allocate_time_reference:
+//
+//  - Each link's range starts at its earliest-free hint (first interval
+//    with hi > now); a dropped earlier interval can only retreat a merged
+//    interval's lo, and allocate_earliest never reads structure at or below
+//    `now` (the first surviving interval's lo is always <= now when it was
+//    merged with a dropped one).
+//  - Intervals with lo >= horizon are dropped: the scan takes idle time
+//    only below the horizon. Those past completion_bound stay: they decide
+//    whether an exact fit's rounding residue is forgiven.
+//  - Union order is irrelevant (canonical interval-set form is unique), so
+//    folding smallest-range-first matches path_union's link-order fold.
+bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path, double now,
+                        double duration, double horizon, double completion_bound,
+                        util::IntervalSet& slices, double& completion,
+                        TimeAllocScratch* scratch) {
+  slices.clear();
+  if (duration <= 0.0 || horizon <= now) return false;
+  TimeAllocScratch local_scratch;
+  TimeAllocScratch& sc = scratch != nullptr ? *scratch : local_scratch;
+  sc.ranges.clear();
+  for (const topo::LinkId lid : path.links) {
+    sc.ranges.push_back(restricted_range(occupancy, lid, now, horizon));
+  }
+  unite_ranges(sc.ranges, sc.bufs[0], sc.bufs[1]);
+
+  IdleScan scan(now, duration, horizon, completion_bound, &slices);
+  for (const util::Interval& busy : sc.bufs[0]) {
+    if (!scan.feed(busy)) break;
+  }
+  return scan.finish(completion);
+}
+
+TimeAllocation allocate_time(const OccupancyMap& occupancy, const topo::Path& path, double now,
+                             double duration, double horizon, double completion_bound) {
+  TimeAllocation out;
+  double completion = 0.0;
+  if (allocate_time_into(occupancy, path, now, duration, horizon, completion_bound, out.slices,
+                         completion)) {
+    out.completion = completion;
+  }
+  return out;
+}
+
 TimeAllocation allocate_time_reference(const OccupancyMap& occupancy, const topo::Path& path,
                                        double now, double duration, double horizon) {
   TimeAllocation out;

@@ -11,10 +11,12 @@
 // (tests/core/taps_incremental_prop_test.cpp, tests/common/taps_equiv.hpp).
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "core/taps_scheduler.hpp"
+#include "core/time_allocation.hpp"
 
 namespace taps::core {
 
@@ -23,8 +25,42 @@ namespace taps::core {
 [[nodiscard]] util::IntervalSet path_union(const OccupancyMap& occupancy,
                                            const topo::Path& path);
 
+// taps-threading: thread-compatible -- value result, owned by its caller.
+struct TimeAllocation {
+  util::IntervalSet slices;  // empty when infeasible before `horizon`
+  double completion = 0.0;   // end of last slice; meaningless when infeasible
+
+  [[nodiscard]] bool feasible() const { return !slices.empty(); }
+};
+
+/// Algorithm 3 for one path: allocate `duration` seconds on `path` starting
+/// at `now`, finishing no later than `horizon` (the flow's deadline).
+/// Materializes the path's union restricted to the window a scan from `now`
+/// can read — each link from its first interval with hi > now, up to the
+/// horizon — with unite_ranges, then runs IdleScan over it. Returns an
+/// infeasible result when the path lacks enough idle time before the
+/// horizon.
+///
+/// `completion_bound` is IdleScan's branch-and-bound cutoff for the flat
+/// race (only strictly-earlier completions replace the incumbent). A
+/// returned feasible allocation is always the true earliest one and has
+/// completion < completion_bound.
+[[nodiscard]] TimeAllocation allocate_time(
+    const OccupancyMap& occupancy, const topo::Path& path, double now, double duration,
+    double horizon, double completion_bound = std::numeric_limits<double>::infinity());
+
+/// allocate_time writing into a caller-owned `slices` set (cleared first, so
+/// its capacity is reused across calls). Returns feasibility; `completion`
+/// is set only when feasible, and `slices` is left empty on infeasibility
+/// or abort. `scratch` (optional) reuses the merge buffers across calls.
+[[nodiscard]] bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path,
+                                      double now, double duration, double horizon,
+                                      double completion_bound, util::IntervalSet& slices,
+                                      double& completion, TimeAllocScratch* scratch = nullptr);
+
 /// The textbook Algorithm 3 (materialize T_ocp, then allocate_earliest).
-/// Bit-identical results to allocate_time; slower on fragmented occupancy.
+/// Bit-identical results to allocate_time and to the planner's scans; slower
+/// on fragmented occupancy.
 [[nodiscard]] TimeAllocation allocate_time_reference(const OccupancyMap& occupancy,
                                                      const topo::Path& path, double now,
                                                      double duration, double horizon);

@@ -6,18 +6,10 @@
 namespace taps::core {
 
 void OccupancyMap::clear() {
-  for (auto& set : by_link_) set.clear();
-  for (auto& h : hints_) h.valid = false;
-  for (auto& p : prefix_) p.valid = false;
-}
-
-void OccupancyMap::reset(std::size_t link_count) {
-  if (by_link_.size() != link_count) {
-    by_link_.resize(link_count);
-    hints_.resize(link_count);
-    prefix_.resize(link_count);
+  for (std::size_t i = 0; i < by_link_.size(); ++i) {
+    by_link_[i].clear();
+    changed(i);
   }
-  clear();
 }
 
 std::size_t OccupancyMap::first_index_after(topo::LinkId id, double from) const {
@@ -48,15 +40,15 @@ void OccupancyMap::occupy(const topo::Path& path, const util::IntervalSet& slice
     auto& set = by_link_[i];
     if (journal == nullptr) {
       for (const util::Interval& iv : slices.intervals()) set.insert(iv);
+      changed(i);
     } else {
       for (const util::Interval& iv : slices.intervals()) {
         const auto arena_begin = static_cast<std::uint32_t>(journal->arena.size());
         auto undo = set.insert_logged(iv.lo, iv.hi, journal->arena);
         journal->records.push_back(OccupancyJournal::Record{lid, undo, arena_begin});
+        spliced(i, undo.index);
       }
     }
-    hints_[i].valid = false;
-    prefix_[i].valid = false;
   }
 }
 
@@ -69,9 +61,8 @@ void OccupancyMap::vacate(const topo::Path& path, const util::IntervalSet& slice
       const auto arena_begin = static_cast<std::uint32_t>(journal.arena.size());
       auto undo = set.erase_logged(iv.lo, iv.hi, journal.arena);
       journal.records.push_back(OccupancyJournal::Record{lid, undo, arena_begin});
+      spliced(i, undo.index);
     }
-    hints_[i].valid = false;
-    prefix_[i].valid = false;
   }
 }
 
@@ -83,8 +74,7 @@ void OccupancyMap::rollback(OccupancyJournal& journal, const OccupancyCheckpoint
     const auto i = static_cast<std::size_t>(rec.link);
     by_link_[i].undo_splice(rec.undo, journal.arena.data() + rec.arena_begin,
                             rec.undo.replaced);
-    hints_[i].valid = false;
-    prefix_[i].valid = false;
+    spliced(i, rec.undo.index);
   }
   journal.records.resize(cp.records);
   journal.arena.resize(cp.arena);
@@ -102,9 +92,7 @@ bool OccupancyMap::collides(const topo::Path& path, const util::IntervalSet& sli
 
 void OccupancyMap::trim_before(double t) {
   for (std::size_t i = 0; i < by_link_.size(); ++i) {
-    if (!by_link_[i].trim_before(t)) continue;
-    hints_[i].valid = false;
-    prefix_[i].valid = false;
+    if (by_link_[i].trim_before(t)) changed(i);
   }
 }
 
@@ -114,13 +102,19 @@ double OccupancyMap::single_link_completion(topo::LinkId id, double from, double
   const std::size_t f = first_index_after(id, from);
   if (f == ivs.size()) return from + need;  // nothing blocks at or after `from`
 
+  // Extend the sums past the last splice: the same additions, in the same
+  // order, as a rebuild from cum[0].
   BusyPrefix& pre = prefix_[i];
-  if (!pre.valid) {
-    pre.cum.assign(ivs.size() + 1, 0.0);
-    for (std::size_t k = 0; k < ivs.size(); ++k) {
+  if (pre.valid < ivs.size() + 1) {
+    pre.cum.resize(ivs.size() + 1);
+    if (pre.valid == 0) {
+      pre.cum[0] = 0.0;
+      pre.valid = 1;
+    }
+    for (std::size_t k = pre.valid - 1; k < ivs.size(); ++k) {
       pre.cum[k + 1] = pre.cum[k] + (ivs[k].hi - ivs[k].lo);
     }
-    pre.valid = true;
+    pre.valid = ivs.size() + 1;
   }
 
   // corr: the part of interval f's busy length that lies before `from` (it

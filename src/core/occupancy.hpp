@@ -6,12 +6,17 @@
 // Queries that scan forward from a time t (the replan hot path always asks
 // "first occupancy at or after now") go through a per-link earliest-free
 // hint: the last (from, index) answer is cached and reused when the next
-// query's `from` is not earlier, instead of rescanning from t=0. The cache
-// is invalidated per link on every mutation. Hints make the map NOT safe for
-// concurrent const access from multiple threads (each exp::Sweep worker owns
-// its scheduler and map, so this never arises in-tree).
+// query's `from` is not earlier, instead of rescanning from t=0. The hint is
+// invalidated per link on every mutation. Single-link bounds read per-link
+// busy-prefix sums, which a mutation cuts back only to the first interval
+// it changed and the next query extends from there. Both caches make the
+// map NOT safe for concurrent const access from multiple threads (each
+// exp::Sweep worker owns its scheduler and map, so this never arises
+// in-tree).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "topo/graph.hpp"
@@ -59,11 +64,6 @@ class OccupancyMap {
 
   void clear();
 
-  /// Re-target the map to `link_count` links, all idle, KEEPING the per-link
-  /// interval storage capacity (the replan hot path rebuilds a trial map on
-  /// every arrival; recycling avoids re-growing every vector each time).
-  void reset(std::size_t link_count);
-
   [[nodiscard]] std::size_t link_count() const { return by_link_.size(); }
 
   [[nodiscard]] const util::IntervalSet& link(topo::LinkId id) const {
@@ -79,10 +79,13 @@ class OccupancyMap {
   /// intersection of its links' idle time, so this lower-bounds the
   /// completion on ANY path through the link, except where a gap falls short
   /// of `need` by a residue Algorithm 3 forgives as rounding (see
-  /// pruning_link_bound). O(log n) per query via a lazily rebuilt per-link
-  /// prefix-busy cache (invalidated on mutation, like the hints). The value
-  /// carries prefix-summation rounding of at most ~n*ulp — callers must
-  /// compare against bounds with a slack exceeding that (see kLbSlack).
+  /// pruning_link_bound). O(log n) per query over per-link busy-prefix sums,
+  /// plus the sums past the first interval changed since the last query
+  /// (a splice keeps the entries before it). Extending them repeats a full
+  /// rebuild's additions in its order, so the value is bitwise a fresh
+  /// map's. It carries prefix-summation rounding of at most ~n*ulp —
+  /// callers must compare against bounds with a slack exceeding that (see
+  /// kLbSlack).
   [[nodiscard]] double single_link_completion(topo::LinkId id, double from, double need) const;
 
   /// Mark every link of `path` occupied during `slices`. In debug builds,
@@ -124,12 +127,26 @@ class OccupancyMap {
     bool valid = false;
   };
 
-  /// cum[k] = total busy seconds in intervals [0, k) of the link — rebuilt
-  /// lazily on first single_link_completion after a mutation.
+  /// cum[k] = total busy seconds in intervals [0, k) of the link. The first
+  /// `valid` entries are current: a logged splice at index i (occupy,
+  /// vacate, rollback) caps it at i + 1, since intervals [0, i) are
+  /// untouched; an unlogged insert, a trim or a clear sets it to 0.
+  /// single_link_completion extends cum from entry valid - 1.
   struct BusyPrefix {
     std::vector<double> cum;
-    bool valid = false;
+    std::size_t valid = 0;
   };
+
+  /// Record that link `i` changed from interval `index` on.
+  void spliced(std::size_t i, std::uint32_t index) {
+    hints_[i].valid = false;
+    prefix_[i].valid = std::min<std::size_t>(prefix_[i].valid, std::size_t{index} + 1);
+  }
+  /// Record that link `i` changed anywhere.
+  void changed(std::size_t i) {
+    hints_[i].valid = false;
+    prefix_[i].valid = 0;
+  }
 
   std::vector<util::IntervalSet> by_link_;
   mutable std::vector<Hint> hints_;  // lazily-updated query cache, see above

@@ -127,10 +127,11 @@ void build_candidate_tree(std::span<const topo::Path> candidates, CandidateTree&
 //    scans with bound nextafter(best), so an equal completion replaces it;
 //    any other member must beat best strictly.
 //
-// Every range is built as allocate_time_into builds it (first interval with
-// hi > now) and every scan stops at the horizon, so a leaf scan reads what
-// allocate_time_into's would. The chosen path, slices and completion are
-// therefore the flat race's, bit for bit
+// Every range starts at the link's first interval with hi > now and every
+// scan stops at the horizon, so a leaf scan reads what the flat race's
+// scan of the candidate's materialized union reads, and the intervals it
+// passes over unfed are no-ops to it. The chosen path, slices and
+// completion are therefore the flat race's, bit for bit
 // (tests/core/candidate_tree_prop_test.cpp).
 FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, FlowId fid,
                        double now, const PlanConfig& config, PlanScratch* scratch) {
@@ -150,7 +151,7 @@ FlowPlan plan_one_flow(const net::Network& net, const OccupancyMap& occupancy, F
 
   // The paper assumes uniform link bandwidth; transfer time is computed at
   // each path's bottleneck capacity to stay correct on non-uniform graphs.
-  // A non-positive duration is never feasible (as in allocate_time_into).
+  // A non-positive duration is never feasible (nothing to allocate).
   std::vector<double>& durations = sc.durations;
   durations.resize(paths.size());
   double min_duration = sim::kInfinity;

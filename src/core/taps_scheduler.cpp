@@ -62,6 +62,7 @@ void TapsScheduler::bind(net::Network& net) {
   preempted_ = net::kInvalidTask;
   committed_remaining_.assign(net.flows().size(), 0.0);
   arrivals_since_trim_ = 0;
+  last_trim_ = -sim::kInfinity;
   rate_heap_ = RateHeap();
   slice_gen_.assign(net.flows().size(), 0);
   rate_touched_mark_.assign(net.flows().size(), 0);
@@ -154,13 +155,18 @@ void TapsScheduler::maybe_trim(double now) {
   if (config_.trim_interval == 0) return;
   if (++arrivals_since_trim_ < config_.trim_interval) return;
   arrivals_since_trim_ = 0;
+  ++counters_.occupancy_trims;
   // Planning only ever reads occupancy at or after `now` and rate assignment
   // never looks backwards, so dropping the past changes nothing — it only
   // bounds memory on long arrival streams. Slices are trimmed together with
-  // the map so an incremental vacate-by-slices stays exact.
+  // the map so an incremental vacate-by-slices stays exact. The last walk
+  // left nothing before its `now`, and every slice granted since starts at
+  // or after its own arrival's `now`: until time passes that walk, there is
+  // nothing to trim.
+  if (now <= last_trim_) return;
+  last_trim_ = now;
   occ_.trim_before(now);
   for (auto& sl : slices_) sl.trim_before(now);
-  ++counters_.occupancy_trims;
 }
 
 void TapsScheduler::on_task_arrival(TaskId id, double now) {

@@ -255,6 +255,8 @@ class TapsScheduler : public sched::BaseScheduler {
   /// adopted entry has not transmitted; Debug builds check it against this.
   std::vector<double> committed_remaining_;
   std::size_t arrivals_since_trim_ = 0;
+  /// `now` of the last trim walk: nothing before it is left anywhere.
+  double last_trim_ = -sim::kInfinity;
 
   // Event-driven rate state (see touch_slices/refresh_rate above).
   struct RateBoundary {

@@ -1,7 +1,7 @@
 #include "core/time_allocation.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstddef>
 #include <vector>
 
 namespace taps::core {
@@ -10,12 +10,40 @@ namespace {
 
 using Range = TimeAllocScratch::Range;
 
+/// Intervals skip_ended steps over one at a time before it gallops: most
+/// runs of ended intervals are short.
+constexpr std::ptrdiff_t kLinearProbe = 4;
+
+/// The first interval of [it, end) with hi > t. `hi` increases along a
+/// canonical range, so after a short linear probe an exponential search
+/// brackets the answer and a binary search finds it: O(log r) for a run of
+/// r intervals ending at or before t.
+const util::Interval* skip_ended(const util::Interval* it, const util::Interval* end, double t) {
+  for (std::ptrdiff_t k = 0; k < kLinearProbe; ++k) {
+    if (it == end || it->hi > t) return it;
+    ++it;
+  }
+  const std::ptrdiff_t n = end - it;
+  std::ptrdiff_t ended = 0;  // it[0, ended) all end at or before t
+  std::ptrdiff_t probe = 1;
+  while (probe <= n && it[probe - 1].hi <= t) {
+    ended = probe;
+    probe *= 2;
+  }
+  return std::partition_point(it + ended, it + std::min(probe, n),
+                              [t](const util::Interval& iv) { return iv.hi <= t; });
+}
+
 /// Two-pointer union merge with IntervalSet::unite's exact coalescing rule
 /// (iv.lo <= back.hi extends the back interval), writing into a reused
 /// buffer. Sequential and branch-predictable, and it runs to the stop: the
 /// tool for a union that is scanned whole or read by many scans (the
 /// candidate tree's shared unions). A scan that reads a union once and
 /// stops early merges its few streams inside the scan (scan_streams).
+///
+/// After each push, both inputs pass over their intervals ending at or
+/// before the back's end: each starts below that end too (and at or after
+/// the last pushed start), so push would swallow it whole.
 void merge_union(const util::Interval* a, const util::Interval* ae, const util::Interval* b,
                  const util::Interval* be, std::vector<util::Interval>& out) {
   out.clear();
@@ -32,6 +60,9 @@ void merge_union(const util::Interval* a, const util::Interval* ae, const util::
     } else {
       push(*b++);
     }
+    const double top = out.back().hi;
+    a = skip_ended(a, ae, top);
+    b = skip_ended(b, be, top);
   }
 }
 
@@ -78,68 +109,26 @@ bool scan_streams(std::span<Range> streams, double horizon, IdleScan& scan, doub
   // Linear min-selection over a handful of heads (the candidate tree feeds
   // one partial union plus a leaf's few links). Ties in `lo` may go either
   // way: the scan's cursor coalesces overlapping intervals in any order.
+  // A head ending at or before the cursor (IdleScan::cursor) is a no-op to
+  // feed, as is the rest of its run: the stream passes over them unfed.
+  // A pending abort is unaffected, since only a fed interval or finish()
+  // acts on it and nothing it reads has moved.
   while (n > 0) {
     std::size_t m = 0;
     for (std::size_t k = 1; k < n; ++k) {
       if (streams[k].first->lo < streams[m].first->lo) m = k;
     }
-    if (streams[m].first->lo >= horizon || !scan.feed(*streams[m].first)) break;
-    if (++streams[m].first == streams[m].last) streams[m] = streams[--n];
+    Range& head = streams[m];
+    if (head.first->lo >= horizon) break;
+    if (head.first->hi <= scan.cursor()) {
+      head.first = skip_ended(head.first, head.last, scan.cursor());
+    } else {
+      if (!scan.feed(*head.first)) break;
+      ++head.first;
+    }
+    if (head.first == head.last) head = streams[--n];
   }
   return scan.finish(completion);
-}
-
-// Fused TimeAllocation: materialize T_ocp restricted to the only window
-// that can matter — [now, horizon) — into reused scratch, then run IdleScan
-// over it. Identical output to the reference:
-//
-//  - Each link's range starts at its earliest-free hint (first interval
-//    with hi > now); a dropped earlier interval can only retreat a merged
-//    interval's lo, and allocate_earliest never reads structure at or below
-//    `now` (the first surviving interval's lo is always <= now when it was
-//    merged with a dropped one).
-//  - Intervals with lo >= horizon are dropped: the scan takes idle time
-//    only below the horizon. Those past completion_bound stay: they decide
-//    whether an exact fit's rounding residue is forgiven.
-//  - Union order is irrelevant (canonical interval-set form is unique), so
-//    folding smallest-range-first matches path_union's link-order fold.
-//
-// The scratch buffers kill the per-call allocations path_union pays, and
-// the abort stops losing candidates early.
-bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path, double now,
-                        double duration, double horizon, double completion_bound,
-                        util::IntervalSet& slices, double& completion,
-                        TimeAllocScratch* scratch) {
-  slices.clear();
-  if (duration <= 0.0 || horizon <= now) return false;
-
-  // Hot callers pass persistent scratch so the buffers are allocation-free
-  // in steady state; scratch-less calls pay a local one.
-  TimeAllocScratch local_scratch;
-  TimeAllocScratch& sc = scratch != nullptr ? *scratch : local_scratch;
-  sc.ranges.clear();
-  for (const topo::LinkId lid : path.links) {
-    sc.ranges.push_back(restricted_range(occupancy, lid, now, horizon));
-  }
-  unite_ranges(sc.ranges, sc.bufs[0], sc.bufs[1]);
-
-  IdleScan scan(now, duration, horizon, completion_bound, &slices);
-  for (const util::Interval& busy : sc.bufs[0]) {
-    if (!scan.feed(busy)) break;
-  }
-  return scan.finish(completion);
-}
-
-TimeAllocation allocate_time(const OccupancyMap& occupancy, const topo::Path& path,
-                             double now, double duration, double horizon,
-                             double completion_bound) {
-  TimeAllocation out;
-  double completion = 0.0;
-  if (allocate_time_into(occupancy, path, now, duration, horizon, completion_bound,
-                         out.slices, completion)) {
-    out.completion = completion;
-  }
-  return out;
 }
 
 }  // namespace taps::core

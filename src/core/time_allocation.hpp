@@ -9,40 +9,34 @@
 // The allocation itself is one scan, IdleScan: fed T_ocp's busy intervals in
 // ascending start order, it takes idle time from `now` until the demand is
 // met, the horizon is passed, or a branch-and-bound cutoff proves the
-// completion cannot beat an incumbent. Every caller shares that one copy of
-// the arithmetic:
+// completion cannot beat an incumbent. Algorithm 2's candidate tree
+// (path_allocation.cpp) scans a shared partial union merged on the fly with
+// a candidate's remaining link ranges (scan_streams), and scans partial
+// unions alone for its subtree lower bounds; the oracle's flat race
+// (taps_oracle) materializes each candidate's union (unite_ranges) and scans
+// that.
 //
-//  - allocate_time materializes T_ocp restricted to the window that can
-//    matter — each link's range starts at its earliest-free hint and stops
-//    at the horizon — into reused scratch buffers, then scans it;
-//  - Algorithm 2's candidate tree (path_allocation.cpp) scans a shared
-//    partial union merged on the fly with a candidate's remaining link
-//    ranges (scan_streams), and scans partial unions alone for its subtree
-//    lower bounds.
+// An interval ending at or before the scan's cursor cannot change the
+// scan's result, nor one ending within a union's last interval so far the
+// merge's. scan_streams and the union merge pass over runs of such
+// intervals by galloping instead of reading them one at a time. On
+// fragmented occupancy — a long busy interval on one link over runs of
+// short intervals on the others — most of a path's intervals lie in such
+// runs.
 //
-// allocate_time's output is identical to the textbook two-step
-// (path_union, then IntervalSet::allocate_earliest), which lives in
-// taps_oracle as core::allocate_time_reference; the equivalence property
-// test drives both on random instances.
+// The textbook two-step (path_union, then IntervalSet::allocate_earliest)
+// lives in taps_oracle as core::allocate_time_reference; the equivalence
+// property tests drive it against these scans on random instances.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <span>
 #include <vector>
 
 #include "core/occupancy.hpp"
 
 namespace taps::core {
-
-// taps-threading: thread-compatible -- value result, owned by its caller.
-struct TimeAllocation {
-  util::IntervalSet slices;  // empty when infeasible before `horizon`
-  double completion = 0.0;   // end of last slice; meaningless when infeasible
-
-  [[nodiscard]] bool feasible() const { return !slices.empty(); }
-};
 
 /// Algorithm 3's scan. Feed busy intervals in ascending `lo` order; they
 /// may overlap or touch (the cursor coalesces them exactly as a
@@ -85,6 +79,11 @@ class IdleScan {
     cursor_ = std::max(cursor_, busy.hi);
     return cursor_ < horizon_;
   }
+
+  /// Where the scan stands: every interval with hi <= cursor() is a no-op
+  /// to feed() (it takes no idle time and moves no state feed() or finish()
+  /// reads), so a caller may pass over it unfed.
+  [[nodiscard]] double cursor() const { return cursor_; }
 
   /// The decision: true with `completion` set when feasible (the slices, if
   /// recorded, are then the allocation); false otherwise, with the recorded
@@ -145,7 +144,7 @@ class IdleScan {
   State state_ = State::kOpen;
 };
 
-/// Caller-owned reusable buffers for allocate_time_into (the restricted
+/// Caller-owned reusable buffers for a planner's scans (the restricted
 /// per-link ranges and the two union-merge ping-pong buffers), passed in
 /// rather than hidden in `thread_local` state: every planner (one per shard
 /// or sweep cell) brings its own.
@@ -177,32 +176,10 @@ void unite_ranges(std::vector<TimeAllocScratch::Range>& ranges, std::vector<util
 /// Run `scan` over the k-way merge of `streams` (each sorted and internally
 /// disjoint, e.g. a union and raw link ranges), ignoring intervals with
 /// lo >= `horizon` exactly as restricted_range would, and return its
-/// decision. Never materializes the union; stops at completion or abort.
-/// Consumes `streams`.
+/// decision. Never materializes the union; passes over a stream's run of
+/// intervals ending at or before the scan's cursor unfed; stops at
+/// completion or abort. Consumes `streams`.
 [[nodiscard]] bool scan_streams(std::span<TimeAllocScratch::Range> streams, double horizon,
                                 IdleScan& scan, double& completion);
-
-/// Allocate `duration` seconds on `path` starting at `now`, finishing no
-/// later than `horizon` (the flow's deadline). Returns an infeasible result
-/// when the path lacks enough idle time before the horizon.
-///
-/// `completion_bound` is IdleScan's branch-and-bound cutoff for
-/// candidate-path races (Algorithm 2 keeps only strictly-earlier
-/// completions). A returned feasible allocation is always the true earliest
-/// one and has completion < completion_bound.
-[[nodiscard]] TimeAllocation allocate_time(
-    const OccupancyMap& occupancy, const topo::Path& path, double now, double duration,
-    double horizon, double completion_bound = std::numeric_limits<double>::infinity());
-
-/// Allocation core writing into a caller-owned `slices` set (cleared first,
-/// so its capacity is reused across calls). Returns feasibility;
-/// `completion` is set only when feasible, and `slices` is left empty on
-/// infeasibility/abort. Same semantics as allocate_time otherwise.
-/// `scratch` (optional) reuses the merge buffers across calls; passing none
-/// costs a fresh allocation per call, which only the oracle/test paths do.
-[[nodiscard]] bool allocate_time_into(const OccupancyMap& occupancy, const topo::Path& path,
-                                      double now, double duration, double horizon,
-                                      double completion_bound, util::IntervalSet& slices,
-                                      double& completion, TimeAllocScratch* scratch = nullptr);
 
 }  // namespace taps::core

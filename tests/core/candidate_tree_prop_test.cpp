@@ -14,7 +14,11 @@
 // whose candidates share no root link, a fat-tree with non-uniform link
 // capacities, and a topology whose candidates differ in length (one group:
 // the flat race). Plans draw max_paths from {1, 3, 16}, ECMP routing,
-// guard bands > 0 and horizons at or before `now`.
+// guard bands > 0 and horizons at or before `now`. A second family builds
+// fragmented occupancy, the burst_admit shape: one long busy interval on a
+// hot host's uplink over runs of short intervals on its paths' other links,
+// where the tree's merges and leaf scans pass over whole runs; its winners
+// are also checked against the textbook Algorithm 3 (allocate_time_reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -404,6 +408,134 @@ TEST(CandidateTreeProp, ExactFitKeepsTheRaceWinner) {
   EXPECT_EQ(flat.completion, busy_lo);
   const FlowPlan tree = plan_one_flow(net, occ, fid, now, config);
   EXPECT_EQ(differ(tree, flat), std::nullopt);
+}
+
+
+// ---- Fragmented occupancy: the burst_admit shape ----
+
+/// On the k=4 fat-tree, a hot host's uplink holds one long busy interval (a
+/// burst of its flows back to back) and links on its flows' candidate paths
+/// hold runs of short intervals (other hosts' flows) beneath and around it.
+/// Plans from the hot host, committed as a burst's admissions are, merge and
+/// scan past whole runs of intervals ending behind the long one.
+struct FragOp {
+  enum Kind : int { kRun, kPlan };
+  Kind kind = kRun;
+  int src = 0;         // source host index
+  int dst = 0;         // destination selector (pick_dst)
+  int candidate = 0;   // kRun: candidate path index (mod the count)
+  int pos = 0;         // kRun: link position on it (mod the length); 0 = the uplink
+  double lo = 0.0;     // kRun: the first interval's start; kPlan: now
+  double len = 0.0;    // kRun: each interval's length; kPlan: flow size (s at capacity 1)
+  double gap = 0.0;    // kRun: idle time between intervals; kPlan: deadline - now
+  int count = 1;       // kRun: intervals in the run
+  bool commit = true;  // kPlan: occupy the winner's slices afterwards
+
+  friend std::ostream& operator<<(std::ostream& os, const FragOp& op) {
+    os.precision(17);
+    if (op.kind == kRun) {
+      return os << "run(src=" << op.src << ", dst=" << op.dst << ", candidate=" << op.candidate
+                << ", pos=" << op.pos << ", lo=" << op.lo << ", len=" << op.len
+                << ", gap=" << op.gap << ", count=" << op.count << ")";
+    }
+    return os << "plan(src=" << op.src << ", dst=" << op.dst << ", now=" << op.lo
+              << ", size=" << op.len << ", slack=" << op.gap << ", commit=" << op.commit << ")";
+  }
+};
+
+std::vector<FragOp> generate_fragmented(util::Rng& rng) {
+  constexpr int kHosts = 16;
+  const int hot = static_cast<int>(rng.uniform_int(0, kHosts - 1));
+  const auto host = [&rng, hot](double p_hot) {
+    return rng.bernoulli(p_hot) ? hot : static_cast<int>(rng.uniform_int(0, kHosts - 1));
+  };
+  std::vector<FragOp> ops;
+  FragOp uplink;
+  uplink.src = hot;
+  uplink.lo = rng.uniform_real(0.0, 4.0);
+  uplink.len = rng.uniform_real(8.0, 30.0);
+  ops.push_back(uplink);
+  const double hot_end = uplink.lo + uplink.len;
+  const auto n = rng.uniform_int(10, 60);
+  for (std::int64_t i = 0; i < n; ++i) {
+    FragOp op;
+    op.dst = static_cast<int>(rng.uniform_int(0, 1 << 20));
+    if (rng.bernoulli(0.45)) {
+      op.kind = FragOp::kRun;
+      op.src = host(0.8);
+      op.candidate = static_cast<int>(rng.uniform_int(0, 15));
+      op.pos = static_cast<int>(rng.uniform_int(1, 5));
+      op.lo = std::max(0.0, rng.uniform_real(uplink.lo - 2.0, hot_end));
+      op.len = rng.uniform_real(0.02, 0.5);
+      op.gap = rng.uniform_real(0.005, 0.4);
+      op.count = static_cast<int>(rng.uniform_int(1, 80));
+    } else {
+      op.kind = FragOp::kPlan;
+      op.src = host(0.7);
+      op.lo = rng.uniform_real(0.0, hot_end + 2.0);
+      op.len = rng.bernoulli(0.7) ? rng.uniform_real(0.01, 4.0) : rng.uniform_real(4.0, 15.0);
+      op.gap = op.len * rng.uniform_real(1.0, 12.0);
+      op.commit = rng.bernoulli(0.7);
+    }
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+std::optional<std::string> check_fragmented(const std::vector<FragOp>& ops) {
+  const topo::FatTree ft(topo::FatTreeConfig{4, 1.0});
+  net::Network net(ft);
+  OccupancyMap occ(ft.graph().link_count());
+  PlanScratch scratch;
+  const PlanConfig config;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const FragOp& op = ops[i];
+    const topo::NodeId src = ft.hosts()[static_cast<std::size_t>(op.src) % ft.host_count()];
+    const topo::NodeId dst = pick_dst(ft, &ft, src, op.dst);
+    if (op.kind == FragOp::kRun) {
+      const std::vector<topo::Path> paths = ft.paths(src, dst, config.max_paths);
+      const topo::Path& p = paths[static_cast<std::size_t>(op.candidate) % paths.size()];
+      topo::Path one;
+      one.links.push_back(p.links[static_cast<std::size_t>(op.pos) % p.links.size()]);
+      for (int k = 0; k < op.count; ++k) {
+        const double lo = op.lo + k * (op.len + op.gap);
+        util::IntervalSet slice;
+        slice.insert(lo, lo + op.len);
+        if (!occ.collides(one, slice)) occ.occupy(one, slice);
+      }
+      continue;
+    }
+    net::FlowSpec spec;
+    spec.src = src;
+    spec.dst = dst;
+    spec.size = op.len;
+    spec.arrival = op.lo;
+    spec.deadline = op.lo + op.gap;
+    const std::vector<net::FlowSpec> flows{spec};
+    const net::FlowId fid =
+        net.task(net.add_task(spec.arrival, spec.deadline, flows)).spec.flows.front();
+    const double now = spec.arrival;
+    const FlowPlan flat = flat_path_race(net, occ, fid, now, config);
+    const FlowPlan tree = plan_one_flow(net, occ, fid, now, config, &scratch);
+    if (auto d = differ(tree, flat)) return "op " + std::to_string(i) + ": " + *d;
+    if (!tree.feasible) continue;
+    const TimeAllocation ref =
+        allocate_time_reference(occ, tree.path, now, spec.size, spec.deadline);
+    if (!same_slices(ref.slices, tree.slices) || !same_bits(ref.completion, tree.completion)) {
+      std::ostringstream os;
+      os.precision(17);
+      os << "op " << i << ": tree {" << tree.slices << ", completion=" << tree.completion
+         << "} != reference on its path {" << ref.slices << ", completion=" << ref.completion
+         << "}";
+      return os.str();
+    }
+    if (op.commit) occ.occupy(tree.path, tree.slices);
+  }
+  return std::nullopt;
+}
+
+TAPS_PROP(CandidateTreeProp, FragmentedOccupancyMatchesFlatRace, 200) {
+  prop.for_all(generate_fragmented, check_fragmented);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // admission/rejection/preemption decisions, same committed paths and
 // slices, same per-link occupancy, same flow outcomes.
 //
-// Two scenario families run under the comparison, each under both reject
+// Three scenario families run under the comparison, each under both reject
 // rule readings (PreemptPolicy):
 //   - Dumbbell (one bottleneck): same-instant arrival cascades (maximum
 //     cross-arrival prefix reuse) mixed with spread arrivals (transmission
@@ -16,6 +16,9 @@
 //     hosts so their uplinks fill up, arrivals mostly cascade at one
 //     instant, a tight tail of deadlines forces rejects, and round sizes
 //     land exact-fit deadlines reasonably often.
+//   - The same hotspots re-timed into clusters of same-instant arrivals,
+//     with a trim at every arrival: most trims come when time has not
+//     advanced since the last one.
 // A fifth of the tasks get a second wave (Network::extend_task): under
 // kSchedulable a wave's ratio counts its task's adopted first-wave flows,
 // and rejecting a wave rejects flows already in the committed order.
@@ -199,7 +202,8 @@ struct ScenarioRun {
 
 template <typename Scheduler>
 ScenarioRun<Scheduler> run_scenario(Endpoints (*make)(), const std::vector<TaskGen>& tasks,
-                                    PreemptPolicy policy = PreemptPolicy::kProgress) {
+                                    PreemptPolicy policy = PreemptPolicy::kProgress,
+                                    std::size_t trim_interval = 4) {
   Endpoints e = make();
   ScenarioRun<Scheduler> r;
   r.net = std::make_unique<net::Network>(*e.topo);
@@ -219,7 +223,7 @@ ScenarioRun<Scheduler> run_scenario(Endpoints (*make)(), const std::vector<TaskG
   }
   r.topo = std::move(e.topo);
   TapsConfig cfg;
-  cfg.trim_interval = 4;  // exercise the trim cadence under the comparison
+  cfg.trim_interval = trim_interval;  // exercise the trim cadence under the comparison
   cfg.preempt_policy = policy;
   r.sched = std::make_unique<Scheduler>(cfg);
   (void)test::run(*r.net, *r.sched);
@@ -227,18 +231,44 @@ ScenarioRun<Scheduler> run_scenario(Endpoints (*make)(), const std::vector<TaskG
 }
 
 /// Both reject-rule readings: kSchedulable is the one that preempts
-/// newcomers' rivals, and so the one that reaches session restarts.
-std::optional<std::string> matches_oracle(Endpoints (*make)(),
-                                          const std::vector<TaskGen>& tasks) {
+/// newcomers' rivals, and so the one that reaches session restarts. The
+/// trim cadence is the oracle's too: equal occupancy_trims counts.
+std::optional<std::string> matches_oracle(Endpoints (*make)(), const std::vector<TaskGen>& tasks,
+                                          std::size_t trim_interval = 4) {
   for (const PreemptPolicy policy : {PreemptPolicy::kProgress, PreemptPolicy::kSchedulable}) {
-    const auto taps = run_scenario<TapsScheduler>(make, tasks, policy);
-    const auto oracle = run_scenario<FullReplanOracle>(make, tasks, policy);
-    if (auto diff = test::compare_with_oracle(*taps.net, *taps.sched, *oracle.net, *oracle.sched)) {
+    const auto taps = run_scenario<TapsScheduler>(make, tasks, policy, trim_interval);
+    const auto oracle = run_scenario<FullReplanOracle>(make, tasks, policy, trim_interval);
+    std::optional<std::string> diff =
+        test::compare_with_oracle(*taps.net, *taps.sched, *oracle.net, *oracle.sched);
+    if (!diff && taps.sched->counters().occupancy_trims !=
+                     oracle.sched->counters().occupancy_trims) {
+      diff = "occupancy_trims " + std::to_string(taps.sched->counters().occupancy_trims) +
+             " vs oracle " + std::to_string(oracle.sched->counters().occupancy_trims);
+    }
+    if (diff) {
       return std::string(policy == PreemptPolicy::kProgress ? "kProgress: " : "kSchedulable: ") +
              *diff;
     }
   }
   return std::nullopt;
+}
+
+/// Hotspot scenarios re-timed so arrivals come in clusters of 2-5 at one
+/// instant, the instants 0.1-1.5 s apart. Run with a trim at every arrival,
+/// most trims fall at an instant an earlier one already trimmed at, and the
+/// scheduler skips their walk where the oracle makes it.
+std::vector<TaskGen> gen_clustered_scenario(util::Rng& rng) {
+  std::vector<TaskGen> tasks = gen_hotspot_scenario(rng);
+  double t = 0.0;
+  auto left = rng.uniform_int(2, 5);
+  for (TaskGen& task : tasks) {
+    if (left-- == 0) {
+      t += rng.uniform_real(0.1, 1.5);
+      left = rng.uniform_int(1, 4);
+    }
+    task.arrival = t;
+  }
+  return tasks;
 }
 
 TAPS_PROP(TapsIncrementalProp, BitIdenticalToFullReplan, 300) {
@@ -250,6 +280,12 @@ TAPS_PROP(TapsIncrementalProp, BitIdenticalToFullReplan, 300) {
 TAPS_PROP(TapsIncrementalProp, FatTreeHotspotsBitIdenticalToFullReplan, 300) {
   prop.for_all(gen_hotspot_scenario, [](const std::vector<TaskGen>& tasks) {
     return matches_oracle(fat_tree, tasks);
+  });
+}
+
+TAPS_PROP(TapsIncrementalProp, SameInstantTrimsBitIdenticalToFullReplan, 300) {
+  prop.for_all(gen_clustered_scenario, [](const std::vector<TaskGen>& tasks) {
+    return matches_oracle(fat_tree, tasks, /*trim_interval=*/1);
   });
 }
 

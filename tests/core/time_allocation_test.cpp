@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "core/full_replan_oracle.hpp"
+
 namespace taps::core {
 namespace {
 
