@@ -1,8 +1,9 @@
 // Microbenchmarks for the controller's hot paths: the interval-set
 // primitives behind Algorithm 3, whole-set planning (Algorithms 1-2),
-// max-min filling, the SDN controller's per-probe decision latency — the
-// metric that bounds how fast TAPS can admit tasks — and end-to-end
-// simulation throughput per scheduler.
+// max-min filling (single-rooted, and fat-tree in the flow-level
+// baselines' many-round regime), the SDN controller's per-probe decision
+// latency — the metric that bounds how fast TAPS can admit tasks — and
+// end-to-end simulation throughput per scheduler.
 //
 // Complements bench_micro_replan (which times the replan and arrival hot
 // paths); this binary tracks the broader primitive surface.
@@ -21,6 +22,7 @@
 #include "core/path_allocation.hpp"
 #include "core/taps_scheduler.hpp"
 #include "exp/experiment.hpp"
+#include "sched/d2tcp.hpp"
 #include "sched/fair_sharing.hpp"
 #include "sdn/controller.hpp"
 #include "topo/fattree.hpp"
@@ -154,6 +156,32 @@ void bench_progressive_fill(BenchRunner& runner, int flows) {
              [&] { do_not_optimize(fs.assign_rates(0.0)); });
 }
 
+/// Water-filling in the flow-level baselines' many-round regime: a k=8
+/// fat-tree carrying ~1,000 active coflow flows at once (the benchmark of
+/// record's `baseline_sim` shape), so a call takes tens of rounds where the
+/// single-rooted legs above take a handful. D2TCP runs the weighted variant.
+template <typename Scheduler>
+void bench_fattree_fill(BenchRunner& runner, const std::string& name) {
+  const topo::FatTree ft(topo::FatTreeConfig::scaled());
+  net::Network net(ft);
+  workload::WorkloadConfig wc;
+  wc.task_count = 10;
+  wc.flows_per_task_mean = 100;
+  wc.arrival_rate = 1e9;  // all at t=0
+  util::Rng rng(7);
+  (void)workload::generate(net, wc, rng);
+
+  Scheduler scheduler;
+  scheduler.bind(net);
+  double now = 0.0;
+  for (const auto& task : net.tasks()) {
+    now = task.spec.arrival;
+    scheduler.on_task_arrival(task.id(), now);
+  }
+  runner.run("progressive_fill/fattree_k8/" + name,
+             [&] { do_not_optimize(scheduler.assign_rates(now)); });
+}
+
 /// End-to-end simulation throughput per scheduler (rate recomputation is
 /// each policy's hot loop).
 void bench_end_to_end(BenchRunner& runner, exp::SchedulerKind kind) {
@@ -188,6 +216,8 @@ int main(int argc, char** argv) {
   for (const int flows : {32, 128, 512}) bench_plan_flows(runner, flows);
   bench_controller_on_probe(runner, runner.options().repeats);
   for (const int flows : {32, 256, 1024}) bench_progressive_fill(runner, flows);
+  bench_fattree_fill<sched::FairSharing>(runner, "FairSharing");
+  bench_fattree_fill<sched::D2Tcp>(runner, "D2TCP");
   for (int k = 0; k <= 6; ++k) bench_end_to_end(runner, static_cast<exp::SchedulerKind>(k));
 
   bench::maybe_write_metrics_csv(o, runner);

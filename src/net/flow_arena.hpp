@@ -83,9 +83,9 @@ class FlowStateArena {
   [[nodiscard]] const double& rate(std::size_t i) const { return chunk(i).rate[slot(i)]; }
 
   /// Compare-on-write rate update. A changed flow enters the dirty list at
-  /// most once between drains (per-slot flag), so schedulers that build rates
-  /// incrementally (progressive_fill's repeated `rate += share` rounds) cost
-  /// one list entry per flow, not one per round.
+  /// most once between drains (per-slot flag), so a scheduler that writes a
+  /// flow's rate more than once per call (D3's grant, then its base-rate
+  /// fill on top) costs one list entry per flow, not one per write.
   void set_rate(std::size_t i, double r) {
     Chunk& c = chunk(i);
     const std::size_t s = slot(i);

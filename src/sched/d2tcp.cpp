@@ -49,7 +49,7 @@ double D2Tcp::assign_rates(double now) {
     f.set_rate(0.0);
   }
 
-  progressive_fill_weighted(flows, residual_, weights_);
+  progressive_fill(flows, residual_, &weights_);
   // Re-adapt urgencies one "RTT" from now while anything is in flight.
   return flows.empty() ? sim::kInfinity : now + config_.update_interval;
 }

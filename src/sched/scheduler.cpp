@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "util/rng.hpp"
 
@@ -13,12 +14,23 @@ using net::FlowState;
 using net::TaskId;
 using net::TaskState;
 
+namespace {
+
+[[maybe_unused]] bool all_distinct(std::vector<FlowId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
+}
+
+}  // namespace
+
 void BaseScheduler::bind(net::Network& net) {
   sim::Scheduler::bind(net);
   active_.clear();
   residual_.assign(net.graph().link_count(), 0.0);
-  link_flow_count_.assign(net.graph().link_count(), 0);
-  link_weight_.assign(net.graph().link_count(), 0.0);
+  fill_.link_weight.assign(net.graph().link_count(), 0.0);
+  fill_.link_begin.assign(net.graph().link_count(), 0);
+  fill_.link_end.assign(net.graph().link_count(), 0);
+  fill_.link_saturated.assign(net.graph().link_count(), 0);
 }
 
 void BaseScheduler::on_flow_finished(net::FlowId /*id*/, double /*now*/) {
@@ -70,150 +82,126 @@ std::vector<FlowId>& BaseScheduler::active_flows() {
 }
 
 void BaseScheduler::progressive_fill(const std::vector<FlowId>& flows,
-                                     std::vector<double>& residual) {
-  // Water-filling: raise every unfrozen flow's share uniformly until a link
-  // saturates; freeze the flows crossing it; repeat. At least one link
-  // saturates per round, so rounds <= number of distinct used links.
+                                     std::vector<double>& residual,
+                                     const std::vector<double>* weights) {
+  // Water-filling: raise every unfrozen flow's rate by unit x weight until a
+  // link saturates; freeze the flows crossing it; repeat. Every floating-point
+  // operation of the reference loops (progressive_fill_reference) happens
+  // here too, per link and per flow in the same order, so the results are
+  // bitwise equal (DESIGN.md §7); only the walks over Flow views are gone.
   constexpr double kEps = 1e-9;
-
-  std::vector<FlowId> alive;
-  alive.reserve(flows.size());
-  std::vector<topo::LinkId> used_links;
-  used_links.reserve(link_flow_count_.size());
+  assert(all_distinct(flows));
+  FillScratch& s = fill_;
+  s.flow.clear();
+  s.weight.clear();
+  s.rate.clear();
+  s.path.clear();
+  s.path_begin.assign(1, 0);
+  s.used.clear();
   for (const FlowId fid : flows) {
     const Flow& f = net_->flow(fid);
     if (f.finished() || f.remaining <= sim::kByteEpsilon) continue;
-    alive.push_back(fid);
-    for (const topo::LinkId lid : f.path.links) {
-      if (link_flow_count_[static_cast<std::size_t>(lid)]++ == 0) used_links.push_back(lid);
-    }
-  }
-
-  while (!alive.empty()) {
-    // Bottleneck share: the smallest per-flow increment that saturates a link.
-    double share = sim::kInfinity;
-    for (const topo::LinkId lid : used_links) {
-      const auto i = static_cast<std::size_t>(lid);
-      if (link_flow_count_[i] > 0) {
-        share = std::min(share, residual[i] / link_flow_count_[i]);
-      }
-    }
-    if (share == sim::kInfinity) break;  // no alive flow crosses any link (impossible)
-    share = std::max(share, 0.0);
-
-    for (const FlowId fid : alive) {
-      const Flow& f = net_->flow(fid);
-      f.set_rate(f.rate + share);
-      for (const topo::LinkId lid : f.path.links) {
-        residual[static_cast<std::size_t>(lid)] -= share;
-      }
-    }
-    // Freeze flows crossing any saturated link.
-    std::vector<FlowId> still_alive;
-    still_alive.reserve(alive.size());
-    for (const FlowId fid : alive) {
-      const Flow& f = net_->flow(fid);
-      bool frozen = false;
-      for (const topo::LinkId lid : f.path.links) {
-        if (residual[static_cast<std::size_t>(lid)] <= kEps) {
-          frozen = true;
-          break;
-        }
-      }
-      if (frozen) {
-        for (const topo::LinkId lid : f.path.links) {
-          --link_flow_count_[static_cast<std::size_t>(lid)];
-        }
-      } else {
-        still_alive.push_back(fid);
-      }
-    }
-    if (still_alive.size() == alive.size()) {
-      // Numerical guard: no flow froze although a link reported saturation.
-      break;
-    }
-    alive = std::move(still_alive);
-  }
-  // Reset the shared counter buffer for the next call.
-  for (const FlowId fid : alive) {
-    for (const topo::LinkId lid : net_->flow(fid).path.links) {
-      --link_flow_count_[static_cast<std::size_t>(lid)];
-    }
-  }
-  for (const topo::LinkId lid : used_links) {
-    assert(link_flow_count_[static_cast<std::size_t>(lid)] >= 0);
-    link_flow_count_[static_cast<std::size_t>(lid)] = 0;
-  }
-}
-
-void BaseScheduler::progressive_fill_weighted(const std::vector<FlowId>& flows,
-                                              std::vector<double>& residual,
-                                              const std::vector<double>& weights) {
-  constexpr double kEps = 1e-9;
-
-  std::vector<FlowId> alive;
-  alive.reserve(flows.size());
-  std::vector<topo::LinkId> used_links;
-  for (const FlowId fid : flows) {
-    const Flow& f = net_->flow(fid);
-    if (f.finished() || f.remaining <= sim::kByteEpsilon) continue;
-    if (weights[static_cast<std::size_t>(fid)] <= 0.0) continue;
-    alive.push_back(fid);
+    const double w = weights != nullptr ? (*weights)[static_cast<std::size_t>(fid)] : 1.0;
+    if (w <= 0.0) continue;
+    s.flow.push_back(fid);
+    s.weight.push_back(w);
+    s.rate.push_back(f.rate);
     for (const topo::LinkId lid : f.path.links) {
       const auto i = static_cast<std::size_t>(lid);
-      if (link_weight_[i] == 0.0) used_links.push_back(lid);
-      link_weight_[i] += weights[static_cast<std::size_t>(fid)];
+      if (s.link_weight[i] == 0.0) s.used.push_back(lid);
+      s.link_weight[i] += w;
+      ++s.link_end[i];  // member count for now
+      s.path.push_back(lid);
+    }
+    s.path_begin.push_back(static_cast<std::uint32_t>(s.path.size()));
+  }
+  const std::size_t n = s.flow.size();
+  const auto links_of = [&s](std::size_t k) {
+    return std::span(s.path).subspan(s.path_begin[k], s.path_begin[k + 1] - s.path_begin[k]);
+  };
+  // Each used link's members (fill flows, in call order) as one range of
+  // `members`: turn the counts into ranges, then place flow by flow.
+  std::uint32_t next = 0;
+  for (const topo::LinkId lid : s.used) {
+    const auto i = static_cast<std::size_t>(lid);
+    const std::uint32_t count = s.link_end[i];
+    s.link_begin[i] = s.link_end[i] = next;
+    next += count;
+  }
+  s.members.resize(s.path.size());
+  for (std::size_t k = 0; k < n; ++k) {
+    for (const topo::LinkId lid : links_of(k)) {
+      s.members[s.link_end[static_cast<std::size_t>(lid)]++] = static_cast<std::uint32_t>(k);
     }
   }
 
-  while (!alive.empty()) {
-    // Smallest per-unit-weight increment that saturates some link.
+  s.alive.resize(n);
+  for (std::size_t k = 0; k < n; ++k) s.alive[k] = static_cast<std::uint32_t>(k);
+  s.frozen.assign(n, 0);
+  s.scan = s.used;
+  while (!s.alive.empty()) {
+    // Smallest per-unit-weight increment that saturates some link. A link
+    // whose weight fell to <= 0 leaves the scan for good: weights only fall.
     double unit = sim::kInfinity;
-    for (const topo::LinkId lid : used_links) {
+    std::size_t kept = 0;
+    for (const topo::LinkId lid : s.scan) {
       const auto i = static_cast<std::size_t>(lid);
-      if (link_weight_[i] > 0.0) unit = std::min(unit, residual[i] / link_weight_[i]);
+      if (s.link_weight[i] > 0.0) {
+        unit = std::min(unit, residual[i] / s.link_weight[i]);
+        s.scan[kept++] = lid;
+      }
     }
+    s.scan.resize(kept);
     if (unit == sim::kInfinity) break;
     unit = std::max(unit, 0.0);
 
-    for (const FlowId fid : alive) {
-      const double inc = unit * weights[static_cast<std::size_t>(fid)];
-      const Flow& f = net_->flow(fid);
-      f.set_rate(f.rate + inc);
-      for (const topo::LinkId lid : f.path.links) {
-        residual[static_cast<std::size_t>(lid)] -= inc;
-      }
-    }
-    std::vector<FlowId> still_alive;
-    still_alive.reserve(alive.size());
-    for (const FlowId fid : alive) {
-      const Flow& f = net_->flow(fid);
-      bool frozen = false;
-      for (const topo::LinkId lid : f.path.links) {
-        if (residual[static_cast<std::size_t>(lid)] <= kEps) {
-          frozen = true;
-          break;
+    // Debit flow by flow. A residual only falls within a round and every
+    // link of an unfrozen flow is debited, so the links at <= kEps after some
+    // debit are exactly those at <= kEps when the round ends.
+    for (const std::uint32_t k : s.alive) {
+      const double inc = unit * s.weight[k];
+      s.rate[k] += inc;
+      for (const topo::LinkId lid : links_of(k)) {
+        const auto i = static_cast<std::size_t>(lid);
+        residual[i] -= inc;
+        if (residual[i] <= kEps && s.link_saturated[i] == 0) {
+          s.link_saturated[i] = 1;
+          s.saturated.push_back(lid);
         }
       }
-      if (frozen) {
-        for (const topo::LinkId lid : f.path.links) {
-          link_weight_[static_cast<std::size_t>(lid)] -=
-              weights[static_cast<std::size_t>(fid)];
-        }
-      } else {
-        still_alive.push_back(fid);
+    }
+    // Every saturated link has an unfrozen member (the flow that debited
+    // it), so no saturated link means no flow freezes: the numerical guard.
+    if (s.saturated.empty()) break;
+    for (const topo::LinkId lid : s.saturated) {
+      const auto i = static_cast<std::size_t>(lid);
+      s.link_saturated[i] = 0;
+      for (std::uint32_t m = s.link_begin[i]; m < s.link_end[i]; ++m) s.frozen[s.members[m]] = 1;
+    }
+    s.saturated.clear();
+    // Lower the weights of the newly frozen flows in call order: for
+    // non-integer weights the order of the subtractions shows in the result.
+    kept = 0;
+    for (const std::uint32_t k : s.alive) {
+      if (s.frozen[k] == 0) {
+        s.alive[kept++] = k;
+        continue;
+      }
+      for (const topo::LinkId lid : links_of(k)) {
+        s.link_weight[static_cast<std::size_t>(lid)] -= s.weight[k];
       }
     }
-    if (still_alive.size() == alive.size()) break;  // numerical guard
-    alive = std::move(still_alive);
+    s.alive.resize(kept);
   }
-  for (const FlowId fid : alive) {
-    for (const topo::LinkId lid : net_->flow(fid).path.links) {
-      link_weight_[static_cast<std::size_t>(lid)] -= weights[static_cast<std::size_t>(fid)];
-    }
+  for (const topo::LinkId lid : s.used) {
+    s.link_weight[static_cast<std::size_t>(lid)] = 0.0;
+    s.link_end[static_cast<std::size_t>(lid)] = 0;
   }
-  for (const topo::LinkId lid : used_links) {
-    link_weight_[static_cast<std::size_t>(lid)] = 0.0;
+  // Rates only rise, so a flow's rate changed in some round exactly when its
+  // final rate differs from its first: one write gives the same dirty set.
+  net::FlowStateArena& arena = net_->flow_state();
+  for (std::size_t k = 0; k < n; ++k) {
+    arena.set_rate(static_cast<std::size_t>(s.flow[k]), s.rate[k]);
   }
 }
 

@@ -1,8 +1,10 @@
 // Shared infrastructure for concrete schedulers: active-flow bookkeeping,
 // flow-level ECMP path assignment, and max-min progressive filling (used by
-// Fair Sharing, and for spare-capacity redistribution in D3/Varys).
+// Fair Sharing, for spare-capacity redistribution in D3/Varys, and weighted
+// by D2TCP).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -47,22 +49,46 @@ class BaseScheduler : public sim::Scheduler {
 
   /// Max-min fair ("progressive filling") allocation of `residual` link
   /// capacity among `flows`, *added* to each flow's current rate. `residual`
-  /// is indexed by LinkId and is consumed in place.
-  void progressive_fill(const std::vector<net::FlowId>& flows, std::vector<double>& residual);
-
-  /// Weighted variant: each unfrozen flow's rate grows proportionally to
-  /// `weights[flow]` (indexed by FlowId) until a link saturates. With all
-  /// weights equal it reduces to progressive_fill. Used by D2TCP's
-  /// deadline-urgency-weighted sharing.
-  void progressive_fill_weighted(const std::vector<net::FlowId>& flows,
-                                 std::vector<double>& residual,
-                                 const std::vector<double>& weights);
+  /// is indexed by LinkId and is consumed in place. Finished flows and flows
+  /// with at most kByteEpsilon bytes left take no share. Without `weights`
+  /// every unfrozen flow grows by the same amount per round (Fair Sharing,
+  /// D3's base rate, Varys's spare capacity); with `weights` (indexed by
+  /// FlowId; D2TCP's deadline urgencies) each grows in proportion to its
+  /// weight and flows of weight <= 0 take no share. Each flow's rate is
+  /// written once, at the end. Bitwise equal to taps_oracle's
+  /// progressive_fill_reference (DESIGN.md §7). `flows` must not repeat a
+  /// flow.
+  void progressive_fill(const std::vector<net::FlowId>& flows, std::vector<double>& residual,
+                        const std::vector<double>* weights = nullptr);
 
   std::vector<net::FlowId> active_;
-  // Scratch buffers reused across assign_rates calls (sized to link count).
+  // Scratch buffer reused across assign_rates calls (sized to link count).
   std::vector<double> residual_;
-  std::vector<int> link_flow_count_;
-  std::vector<double> link_weight_;
+
+  /// progressive_fill's working set, reused across calls: O(flows + path
+  /// links + links). Per fill flow (a flow that takes a share, in call
+  /// order): its id, weight, accumulated rate and links (flat). Per link the
+  /// fill crosses: its fill flows, as one range of `members`.
+  // taps-threading: single-domain -- scratch of one scheduler's simulation domain
+  struct FillScratch {
+    std::vector<net::FlowId> flow;
+    std::vector<double> weight;
+    std::vector<double> rate;
+    std::vector<topo::LinkId> path;          // every fill flow's links, flow after flow
+    std::vector<std::uint32_t> path_begin;   // fill flow k: [path_begin[k], path_begin[k+1])
+    std::vector<std::uint32_t> alive;        // unfrozen fill flows, in call order
+    std::vector<char> frozen;                // per fill flow
+    std::vector<std::uint32_t> members;      // fill flows per used link, call order
+    std::vector<topo::LinkId> used;          // links of fill flows, first-seen order
+    std::vector<topo::LinkId> scan;          // used links whose weight is still > 0
+    std::vector<topo::LinkId> saturated;     // links at <= kEps after this round's debits
+    // Indexed by LinkId, sized at bind().
+    std::vector<double> link_weight;         // summed weight of unfrozen fill flows
+    std::vector<std::uint32_t> link_begin;   // the link's range of `members`
+    std::vector<std::uint32_t> link_end;
+    std::vector<char> link_saturated;        // in `saturated`
+  };
+  FillScratch fill_;
 
  private:
   std::size_t max_paths_ = kDefaultMaxPaths;

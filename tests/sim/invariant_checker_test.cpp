@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/fixtures.hpp"
 #include "core/taps_scheduler.hpp"
 
@@ -133,6 +135,112 @@ TEST(InvariantChecker, ViolationCarriesEventTrace) {
     // The trace must show the events leading up to the violation.
     EXPECT_NE(what.find("event t=0"), std::string::npos) << what;
     EXPECT_NE(what.find("xmit"), std::string::npos) << what;
+  }
+}
+
+// ---- one test per failure branch, each requiring its message ----------
+
+/// Runs `body`, which must throw an InvariantViolation whose message
+/// contains `message`.
+template <typename Body>
+void expect_violation(Body&& body, const std::string& message) {
+  try {
+    body();
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+    return;
+  }
+  ADD_FAILURE() << "expected an InvariantViolation containing \"" << message << "\"";
+}
+
+/// Marks flow `i` of the rig completed at `t` with `bytes` accounted.
+void complete(Rig& rig, int i, double t, double bytes) {
+  net::Flow& f = rig.flow(i);
+  f.state = net::FlowState::kCompleted;
+  f.bytes_sent = bytes;
+  f.remaining = 0.0;
+  f.completion_time = t;
+}
+
+TEST(InvariantChecker, ThrowsOnSegmentEndingBeforeItStarts) {
+  Rig rig;
+  InvariantChecker checker(rig.net);
+  expect_violation([&] { checker.on_transmit(rig.flow(0), 2.0, 1.0, 1.0); },
+                   "transmit segment ends before it starts");
+}
+
+TEST(InvariantChecker, ThrowsOnWindowStartingBeforePreviousEnded) {
+  Rig rig;
+  InvariantChecker checker(rig.net);
+  checker.on_transmit(rig.flow(0), 0.0, 2.0, 1.0);
+  // A different window closes [0, 2) and must not start inside it.
+  expect_violation([&] { checker.on_transmit(rig.flow(1), 1.0, 3.0, 1.0); },
+                   "starts before the previous window ended");
+}
+
+TEST(InvariantChecker, ThrowsOnBytesOverEmptyInterval) {
+  Rig rig;
+  InvariantChecker checker(rig.net);
+  expect_violation([&] { checker.on_transmit(rig.flow(0), 1.0, 1.0, 1.0); },
+                   "bytes transmitted over an empty interval");
+}
+
+TEST(InvariantChecker, ThrowsOnCompletedFlowShortOfItsSize) {
+  Rig rig;
+  InvariantChecker checker(rig.net);
+  checker.on_transmit(rig.flow(0), 0.0, 1.0, 1.0);
+  // Accounting agrees with the segments (1 byte), but the flow has 2.
+  complete(rig, 0, 1.0, 1.0);
+  expect_violation([&] { checker.on_flow_finished(rig.flow(0), 1.0); },
+                   "completed but transmitted 1 of 2 bytes");
+}
+
+TEST(InvariantChecker, ThrowsOnCompletedFlowPastDeadline) {
+  Rig rig;
+  InvariantChecker checker(rig.net);
+  checker.on_transmit(rig.flow(0), 0.0, 2.0, 2.0);
+  complete(rig, 0, 9.0, 2.0);  // every byte sent, completion after t=8
+  expect_violation([&] { checker.on_flow_finished(rig.flow(0), 9.0); },
+                   "completed at 9, past its deadline");
+}
+
+TEST(InvariantChecker, ThrowsOnTaskOpenAtQuiescence) {
+  Rig rig;
+  complete(rig, 0, 2.0, 2.0);
+  complete(rig, 1, 4.0, 2.0);
+  rig.net.task(0).state = net::TaskState::kAdmitted;  // never closed
+  InvariantChecker checker(rig.net);
+  expect_violation([&] { checker.on_run_complete(rig.net, 4.0); },
+                   "task 0 still open at quiescence");
+}
+
+TEST(InvariantChecker, ThrowsOnCompletedTaskWithShortFlowCount) {
+  Rig rig;
+  complete(rig, 0, 2.0, 2.0);
+  complete(rig, 1, 4.0, 2.0);
+  net::Task& t = rig.net.task(0);
+  t.state = net::TaskState::kCompleted;
+  t.completed_flows = 1;
+  InvariantChecker checker(rig.net);
+  expect_violation([&] { checker.on_run_complete(rig.net, 4.0); },
+                   "task 0 marked completed with 1/2 flows done");
+}
+
+TEST(InvariantChecker, ThrowsOnCompletedTaskWithUnfinishedOrLateFlow) {
+  for (const bool late : {false, true}) {
+    Rig rig;
+    complete(rig, 0, 2.0, 2.0);
+    if (late) {
+      complete(rig, 1, 9.0, 2.0);
+    } else {
+      rig.flow(1).state = net::FlowState::kMissed;
+    }
+    net::Task& t = rig.net.task(0);
+    t.state = net::TaskState::kCompleted;
+    t.completed_flows = 2;
+    InvariantChecker checker(rig.net);
+    expect_violation([&] { checker.on_run_complete(rig.net, 9.0); },
+                     "completed task 0 has unfinished or late flow 1");
   }
 }
 
